@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import UniverseMismatchError, ValidationError
 from .kernel import BipolarValue
@@ -90,7 +92,7 @@ class BipolarFuzzySet:
     fixes iteration and report layout.  Instances are immutable.
     """
 
-    __slots__ = ("_ids", "_values")
+    __slots__ = ("_ids", "_values", "_arrays")
 
     def __init__(self, pairs: Iterable[tuple[str, BipolarValue]]):
         ids: list[str] = []
@@ -106,6 +108,7 @@ class BipolarFuzzySet:
             values[eid] = val
         self._ids = tuple(ids)
         self._values = values
+        self._arrays: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def universe(self) -> tuple[str, ...]:
@@ -116,6 +119,26 @@ class BipolarFuzzySet:
             return self._values[eid]
         except KeyError:
             raise ValidationError(f"element {eid!r} is not in the universe") from None
+
+    def arrays(self, order: Sequence[str] | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The degrees as read-only float64 arrays (mu, nu).
+
+        Entries follow universe order, or the ids in ``order`` when given.
+        The universe-order arrays are built on first use and kept.
+        """
+        if order is None or order == self._ids:
+            if self._arrays is None:
+                self._arrays = self._degree_arrays(self._ids)
+            return self._arrays
+        return self._degree_arrays(order)
+
+    def _degree_arrays(self, order: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        values = [self.value(eid) for eid in order]
+        mu = np.array([v.mu for v in values], dtype=np.float64)
+        nu = np.array([v.nu for v in values], dtype=np.float64)
+        mu.flags.writeable = False
+        nu.flags.writeable = False
+        return mu, nu
 
     def items(self) -> tuple[tuple[str, BipolarValue], ...]:
         return tuple((eid, self._values[eid]) for eid in self._ids)

@@ -23,16 +23,16 @@ from .dataio import (
     write_report,
 )
 from .errors import DatasetError, PentafuzzError
-from .kernel import classify, to_penta, to_tau_omega
+from .kernel import classify_arrays, decompose
 from .measures import (
     CardinalityKind,
     EntropyKind,
     VectorNorm,
     axiom_audit,
     border_cardinality,
-    cardinality_point,
+    cardinality_array,
     cardinality_set,
-    entropy_point,
+    entropy_array,
     entropy_set,
     matches_paper_pattern,
 )
@@ -125,30 +125,26 @@ def _element_rows(
     entropy_kinds: tuple[EntropyKind, ...] = (),
     vector_norm: VectorNorm = VectorNorm.MAX,
 ) -> tuple[ElementRow, ...]:
-    rows = []
-    for eid, val in dataset:
-        p = to_penta(val)
-        w = to_tau_omega(val)
-        rows.append(
-            ElementRow(
-                element_id=eid,
-                mu=val.mu,
-                nu=val.nu,
-                t=p.t,
-                f=p.f,
-                u=p.u,
-                c=p.c,
-                i=p.i,
-                tau=w.tau,
-                omega=w.omega,
-                value_class=classify(val).value,
-                cardinalities=tuple(cardinality_point(k, val) for k in card_kinds),
-                entropies=tuple(
-                    entropy_point(k, val, vector_norm).scalar for k in entropy_kinds
-                ),
-            )
+    """One report row per element, in universe order, computed column-wise.
+
+    A measure undefined at some element raises the pointwise error of the
+    first such element; with several kinds, the first kind's is raised.
+    """
+    d = decompose(*dataset.arrays())
+    n = len(dataset)
+    cards = [cardinality_array(k, d).tolist() for k in card_kinds]
+    ents = [entropy_array(k, d, vector_norm).tolist() for k in entropy_kinds]
+    classes = [c.value for c in classify_arrays(d.mu, d.nu)]
+    return tuple(
+        ElementRow(eid, mu, nu, t, f, u, c, i, tau, omega, cls, card, ent)
+        for eid, mu, nu, t, f, u, c, i, tau, omega, cls, card, ent in zip(
+            dataset.universe,
+            *(col.tolist() for col in d),
+            classes,
+            zip(*cards) if cards else [()] * n,
+            zip(*ents) if ents else [()] * n,
         )
-    return tuple(rows)
+    )
 
 
 def _metadata(args, dataset_name: str, **extra) -> ReportMetadata:

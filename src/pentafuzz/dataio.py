@@ -126,6 +126,13 @@ def _read_json(text: str) -> BipolarFuzzySet:
         if eid in seen:
             raise DatasetError(f"{where}: duplicate element id {eid!r}")
         seen.add(eid)
+        for key in ("mu", "nu"):
+            # float() would accept true as 1.0 and "0.3" as 0.3.
+            raw = record[key]
+            if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+                raise DatasetError(
+                    f"{where}: element {eid!r}: {key} must be a JSON number, got {json.dumps(raw)}"
+                )
         pairs.append((eid, _make_value(eid, record["mu"], record["nu"], where)))
     return BipolarFuzzySet(pairs)
 
@@ -138,6 +145,7 @@ def read_dataset(source: BinaryIO, fmt: str) -> BipolarFuzzySet:
         text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
     except UnicodeDecodeError as exc:
         raise DatasetError(f"input is not valid UTF-8: {exc}") from None
+    text = text.removeprefix("\ufeff")  # a UTF-8 byte order mark
     return _read_csv(text) if fmt == "csv" else _read_json(text)
 
 

@@ -12,13 +12,23 @@ Every such pair splits into five nonnegative indexes
 which sum to one, with t*f = 0 and u*c = 0.  The signed coordinates
 tau = t - f and omega = c - u satisfy |tau| + |omega| <= 1 and carry all
 the information the distance layer needs.
+
+The scalar functions (``to_penta``, ``to_tau_omega``) work on one value
+and validate every result.  ``decompose`` does the same for whole float64
+arrays of degrees: the same operations in the same order, so every entry
+equals the scalar result bit for bit, with the invariants checked once
+per array.  ``penta_arrays`` is its unvalidated core.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -28,12 +38,14 @@ __all__ = [
     "BipolarValue",
     "CONTRADICTORY",
     "FALSE",
+    "PentaArrays",
     "PentaValue",
     "TRUE",
     "TauOmega",
     "UNKNOWN",
     "ValueClass",
     "classify",
+    "decompose",
     "from_penta",
     "from_tau_omega",
     "reduced_penta",
@@ -50,12 +62,20 @@ def _pos(a: float) -> float:
     return a if a > 0.0 else 0.0
 
 
-def _check_degree(name: str, v: float) -> float:
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+def finite_real(name: str, v) -> float:
+    """v as a float: any real, numpy scalars included, but not bool, nan or inf."""
+    is_real = type(v) is float or (isinstance(v, numbers.Real) and not isinstance(v, bool))
+    if not is_real or not math.isfinite(v):
         raise ValidationError(f"{name} must be a finite real, got {v!r}")
+    return float(v)
+
+
+def _check_degree(name: str, v: float) -> float:
+    v = finite_real(name, v)
     if v < 0.0 or v > 1.0:
         raise ValidationError(f"{name} must lie in [0, 1], got {v}")
-    return float(v)
+    # Adding +0.0 turns -0.0 into +0.0, which would otherwise print as "-0.00".
+    return v + 0.0
 
 
 @dataclass(frozen=True)
@@ -108,12 +128,10 @@ class PentaValue:
 
     def __post_init__(self) -> None:
         for name in ("t", "f", "u", "c", "i"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-                raise ValidationError(f"{name} must be a finite real, got {v!r}")
+            v = finite_real(name, getattr(self, name))
             if v < -EPSILON or v > 1.0 + EPSILON:
                 raise ValidationError(f"{name} must lie in [0, 1], got {v}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, v)
         total = self.t + self.f + self.u + self.c + self.i
         if abs(total - 1.0) > EPSILON:
             raise ValidationError(f"index sum must be 1, got {total!r}")
@@ -132,12 +150,10 @@ class TauOmega:
 
     def __post_init__(self) -> None:
         for name in ("tau", "omega"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-                raise ValidationError(f"{name} must be a finite real, got {v!r}")
+            v = finite_real(name, getattr(self, name))
             if abs(v) > 1.0 + EPSILON:
                 raise ValidationError(f"{name} must lie in [-1, 1], got {v}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, v)
         if abs(self.tau) + abs(self.omega) > 1.0 + EPSILON:
             raise ValidationError(
                 f"|tau| + |omega| must not exceed 1, got {abs(self.tau) + abs(self.omega)}"
@@ -247,3 +263,106 @@ def reduced_penta(x: BipolarValue, value_class: ValueClass) -> PentaValue:
             i=2.0 - abs(mu - nu) - total,
         )
     raise ValidationError("the general bipolar class has no specialized reduction")
+
+
+# ---------------------------------------------------------------------------
+# Array path: many values at once, bit-identical to the scalar functions.
+# ---------------------------------------------------------------------------
+
+
+class PentaArrays(NamedTuple):
+    """Struct-of-arrays decomposition: one float64 array per field, entry k per value k."""
+
+    mu: np.ndarray
+    nu: np.ndarray
+    t: np.ndarray
+    f: np.ndarray
+    u: np.ndarray
+    c: np.ndarray
+    i: np.ndarray
+    tau: np.ndarray
+    omega: np.ndarray
+
+
+def _pos_array(a: np.ndarray) -> np.ndarray:
+    # _pos elementwise, in place on a temporary.  np.maximum alone may keep
+    # a -0.0 entry; adding +0.0 turns it into +0.0 and leaves every other
+    # entry as it is.
+    np.maximum(a, 0.0, out=a)
+    a += 0.0
+    return a
+
+
+def penta_arrays(mu: np.ndarray, nu: np.ndarray):
+    """Unvalidated core of ``decompose``: the arrays (t, f, u, c).
+
+    Each entry is computed with to_penta's operations in to_penta's
+    operand order, so it equals the scalar index bit for bit.  The
+    degrees are not checked.
+    """
+    return (
+        _pos_array(mu - nu),
+        _pos_array(nu - mu),
+        _pos_array(1.0 - mu - nu),
+        _pos_array(mu + nu - 1.0),
+    )
+
+
+def raise_first(bad: np.ndarray, scalar: Callable[[int], object]) -> None:
+    """Raise the scalar path's error for the first flagged entry, if any.
+
+    ``scalar(k)`` repeats the scalar computation at entry k, so the array
+    path raises the exception type and message the scalar path raises on
+    the first offending value in universe order.
+    """
+    if not bad.any():
+        return
+    k = int(np.argmax(bad))
+    scalar(k)
+    raise AssertionError(f"entry {k} was flagged but passes the scalar check")
+
+
+def decompose(mu, nu) -> PentaArrays:
+    """Decompose arrays of degrees; entry k equals to_penta/to_tau_omega of (mu[k], nu[k]).
+
+    Degrees are checked as BipolarValue checks them, and the PentaValue and
+    TauOmega invariants once per array; a violation raises the scalar
+    error of the first offending entry.
+    """
+    mu = np.asarray(mu, dtype=np.float64)
+    nu = np.asarray(nu, dtype=np.float64)
+    if mu.ndim != 1 or mu.shape != nu.shape:
+        raise ValidationError(
+            f"mu and nu must be 1-d arrays of one length, got shapes {mu.shape}, {nu.shape}"
+        )
+    in_range = (mu >= 0.0) & (mu <= 1.0) & (nu >= 0.0) & (nu <= 1.0)
+    raise_first(~in_range, lambda k: BipolarValue(float(mu[k]), float(nu[k])))
+    # The stored degrees of BipolarValue: -0.0 becomes +0.0.
+    mu = mu + 0.0
+    nu = nu + 0.0
+    t, f, u, c = penta_arrays(mu, nu)
+    i = 1.0 - np.abs(mu - nu) - np.abs(mu + nu - 1.0)
+    tau = t - f
+    omega = c - u
+    bad = np.abs(t + f + u + c + i - 1.0) > EPSILON
+    for v in (t, f, u, c, i):
+        bad |= (v < -EPSILON) | (v > 1.0 + EPSILON)
+    bad |= (t * f > EPSILON) | (u * c > EPSILON)
+    bad |= np.abs(tau) + np.abs(omega) > 1.0 + EPSILON
+
+    def scalar_invariants(k: int) -> None:
+        PentaValue(float(t[k]), float(f[k]), float(u[k]), float(c[k]), float(i[k]))
+        TauOmega(float(tau[k]), float(omega[k]))
+
+    raise_first(bad, scalar_invariants)
+    return PentaArrays(mu, nu, t, f, u, c, i, tau, omega)
+
+
+_CLASSES = (ValueClass.FUZZY, ValueClass.INTUITIONISTIC, ValueClass.PARACONSISTENT)
+
+
+def classify_arrays(mu: np.ndarray, nu: np.ndarray) -> list[ValueClass]:
+    """classify for every entry of two degree arrays, in order."""
+    total = mu + nu
+    code = np.where(np.abs(total - 1.0) <= EPSILON, 0, np.where(total < 1.0, 1, 2))
+    return [_CLASSES[k] for k in code.tolist()]

@@ -24,7 +24,15 @@ import numpy as np
 
 from . import algebra
 from .errors import UndefinedValueError, ValidationError
-from .kernel import EPSILON, BipolarValue, to_penta
+from .kernel import (
+    EPSILON,
+    BipolarValue,
+    PentaArrays,
+    decompose,
+    penta_arrays,
+    raise_first,
+    to_penta,
+)
 
 __all__ = [
     "AuditReport",
@@ -35,8 +43,10 @@ __all__ = [
     "VectorNorm",
     "axiom_audit",
     "border_cardinality",
+    "cardinality_array",
     "cardinality_point",
     "cardinality_set",
+    "entropy_array",
     "entropy_point",
     "entropy_set",
     "matches_paper_pattern",
@@ -80,12 +90,27 @@ class EntropyResult:
 
 # ---------------------------------------------------------------------------
 # Closed forms.  Each accepts floats or numpy arrays of (t, f, u, c).
+#
+# ``square`` is how the pe forms square.  On a float, x ** 2 calls the C
+# library's pow, which differs from x * x in the last bit for about one
+# value in a thousand; on an array, x ** 2 is x * x.  The array path of
+# the set measures passes _libm_square so its entries equal the pointwise
+# values bit for bit; the audit keeps x * x.
 # ---------------------------------------------------------------------------
 
 
-def _card_formula(kind: CardinalityKind, t, f, u, c):
+def _square(x):
+    return x ** 2
+
+
+def _libm_square(x):
+    # np.float_power calls the C library's pow, as float ** 2 does.
+    return np.float_power(x, 2.0)
+
+
+def _card_formula(kind: CardinalityKind, t, f, u, c, square=_square):
     if kind is CardinalityKind.FROM_PE:
-        return 1.0 - np.sqrt(((1.0 - t + f) / 2.0) ** 2 + ((u - c) / (1.0 + u + c)) ** 2)
+        return 1.0 - np.sqrt(square((1.0 - t + f) / 2.0) + square((u - c) / (1.0 + u + c)))
     if kind is CardinalityKind.FROM_PH:
         return (1.0 + t - f) / (2.0 + u + c)
     if kind is CardinalityKind.FROM_PP:
@@ -99,9 +124,17 @@ def _card_formula(kind: CardinalityKind, t, f, u, c):
     raise ValidationError(f"unknown cardinality kind {kind!r}")
 
 
-def _entropy_formula(kind: EntropyKind, t, f, u, c, vector_norm: VectorNorm = VectorNorm.MAX):
+def _entropy_formula(
+    kind: EntropyKind,
+    t,
+    f,
+    u,
+    c,
+    vector_norm: VectorNorm = VectorNorm.MAX,
+    square=_square,
+):
     if kind is EntropyKind.FROM_PE:
-        return np.sqrt((1.0 - t - f) ** 2 + (2.0 * (u - c) / (1.0 + u + c)) ** 2)
+        return np.sqrt(square(1.0 - t - f) + square(2.0 * (u - c) / (1.0 + u + c)))
     if kind is EntropyKind.FROM_PH:
         return 2.0 * (1.0 - t - f + u + c) / (2.0 + c + u)
     if kind is EntropyKind.FROM_PP:
@@ -143,15 +176,39 @@ def cardinality_point(kind: CardinalityKind, x: BipolarValue) -> float:
     return float(_card_formula(kind, p.t, p.f, p.u, p.c))
 
 
+def cardinality_array(kind: CardinalityKind, d: PentaArrays) -> np.ndarray:
+    """cardinality_point at every entry of a decomposition, bit for bit.
+
+    Raises what cardinality_point raises at the first entry outside the
+    kind's domain.
+    """
+    if kind in _CLASSIC:
+        # x.kappa is the index c
+        raise_first(
+            d.c > EPSILON,
+            lambda k: cardinality_point(kind, BipolarValue(float(d.mu[k]), float(d.nu[k]))),
+        )
+    return _card_formula(kind, d.t, d.f, d.u, d.c, square=_libm_square)
+
+
+def _sum(values: np.ndarray) -> float:
+    # Builtin sum over Python floats in universe order, as the pointwise
+    # route adds them; np.sum would pair the terms differently.
+    return sum(values.tolist())
+
+
 def cardinality_set(kind: CardinalityKind, a: algebra.BipolarFuzzySet) -> float:
     """Sum of pointwise cardinalities; lies in [0, card(universe)]."""
-    return sum(cardinality_point(kind, val) for _, val in a)
+    return _sum(cardinality_array(kind, decompose(*a.arrays())))
 
 
 def border_cardinality(kind: CardinalityKind, a: algebra.BipolarFuzzySet) -> float:
     """Mass between a set and its complement: card(X) - n(A) - n(A^c)."""
-    comp = algebra.set_op(algebra.SetOpKind.COMPLEMENT, a)
-    return len(a) - cardinality_set(kind, a) - cardinality_set(kind, comp)
+    mu, nu = a.arrays()
+    # The complement (nu, mu), decomposed from the swapped degrees exactly
+    # as to_penta decomposes each complemented value.
+    own = _sum(cardinality_array(kind, decompose(mu, nu)))
+    return len(a) - own - _sum(cardinality_array(kind, decompose(nu, mu)))
 
 
 def entropy_point(
@@ -176,6 +233,24 @@ def entropy_point(
     return EntropyResult(scalar)
 
 
+def entropy_array(
+    kind: EntropyKind,
+    d: PentaArrays,
+    vector_norm: VectorNorm = VectorNorm.MAX,
+) -> np.ndarray:
+    """The scalar of entropy_point at every entry of a decomposition, bit for bit.
+
+    Raises what entropy_point raises at the first entry where the kind is
+    undefined.
+    """
+    if kind is EntropyKind.SZMIDT_KACPRZYK_PI:
+        raise_first(
+            1.0 - d.u - d.c <= EPSILON,
+            lambda k: entropy_point(kind, BipolarValue(float(d.mu[k]), float(d.nu[k]))),
+        )
+    return _entropy_formula(kind, d.t, d.f, d.u, d.c, vector_norm, square=_libm_square)
+
+
 def entropy_set(
     kind: EntropyKind,
     a: algebra.BipolarFuzzySet,
@@ -184,7 +259,7 @@ def entropy_set(
     """Mean of pointwise scalar entropies over a nonempty universe."""
     if len(a) == 0:
         raise ValidationError("set entropy over an empty universe is undefined")
-    return sum(entropy_point(kind, val, vector_norm).scalar for _, val in a) / len(a)
+    return _sum(entropy_array(kind, decompose(*a.arrays()), vector_norm)) / len(a)
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +310,6 @@ _LM_MU_NU = {"T": (1.0, 0.0), "F": (0.0, 1.0), "U": (0.0, 0.0), "C": (1.0, 1.0),
 # alpha = 0 steps lower nu at fixed mu, which is where monotonicity
 # failures hide.
 _GROWTH_STEPS = ((0.5, 0.5), (0.0, 0.5), (0.5, 1.0), (1.0, 0.0), (0.0, 0.75), (0.25, 1.0))
-
-
-def _penta_arrays(mu: np.ndarray, nu: np.ndarray):
-    t = np.maximum(mu - nu, 0.0)
-    f = np.maximum(nu - mu, 0.0)
-    u = np.maximum(1.0 - mu - nu, 0.0)
-    c = np.maximum(mu + nu - 1.0, 0.0)
-    return t, f, u, c
 
 
 def _mixed_close(a, b, tol: float = EPSILON):
@@ -398,8 +465,8 @@ def _containment_result(measure: _Measure, axiom: str, mu, nu, rng) -> AxiomResu
             a, b = step
         mu1 = mu + a * (1.0 - mu)
         nu1 = b * nu
-        base = _penta_arrays(mu, nu)
-        grown = _penta_arrays(mu1, nu1)
+        base = penta_arrays(mu, nu)
+        grown = penta_arrays(mu1, nu1)
         mask = measure.domain(*base) & measure.domain(*grown)
         if not mask.any():
             continue
@@ -487,7 +554,7 @@ def axiom_audit(
     """
     measure = _measure_for(kind, vector_norm)
     mu, nu, rng = _audit_samples(grid_step, n_random, seed)
-    t, f, u, c = _penta_arrays(mu, nu)
+    t, f, u, c = penta_arrays(mu, nu)
     base = (t, f, u, c)
     complement_t = (f, t, u, c)
     dual_t = (t, f, c, u)

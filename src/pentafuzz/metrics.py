@@ -15,9 +15,18 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .algebra import BipolarFuzzySet, check_same_universe
 from .errors import ValidationError
-from .kernel import BipolarValue, TauOmega, to_tau_omega
+from .kernel import (
+    BipolarValue,
+    TauOmega,
+    _check_degree,
+    decompose,
+    finite_real,
+    to_tau_omega,
+)
 
 __all__ = [
     "Aggregation",
@@ -43,10 +52,7 @@ class Interval:
 
     def __post_init__(self) -> None:
         for name in ("a", "b"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-                raise ValidationError(f"{name} must be a finite real, got {v!r}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, finite_real(name, getattr(self, name)))
         if self.a >= self.b:
             raise ValidationError(f"degenerate interval [{self.a}, {self.b}]")
 
@@ -117,6 +123,36 @@ def _combine(kind: DistanceKind, w1: TauOmega, w2: TauOmega) -> float:
     raise ValidationError(f"unknown distance kind {kind!r}")
 
 
+def _signed_unit_distance_arrays(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    return np.abs(p - q) / (1.0 + np.maximum(np.abs(p), np.abs(q)))
+
+
+def _combine_arrays(
+    kind: DistanceKind,
+    tau1: np.ndarray,
+    omega1: np.ndarray,
+    tau2: np.ndarray,
+    omega2: np.ndarray,
+) -> np.ndarray:
+    """_combine entry by entry: the same operations in the same order, so
+    every entry equals the scalar distance bit for bit."""
+    if kind is DistanceKind.PSEUDO_HAMMING:
+        num = np.abs(tau1 - tau2) + np.abs(omega1 - omega2)
+        den = (
+            1.0
+            + np.maximum(np.abs(tau1), np.abs(tau2))
+            + np.maximum(np.abs(omega1), np.abs(omega2))
+        )
+        return num / den
+    dt = _signed_unit_distance_arrays(tau1, tau2)
+    dw = _signed_unit_distance_arrays(omega1, omega2)
+    if kind is DistanceKind.PSEUDO_EUCLID:
+        return np.sqrt(dt * dt + dw * dw)
+    if kind is DistanceKind.PSEUDO_PROB:
+        return dt + dw - dt * dw
+    raise ValidationError(f"unknown distance kind {kind!r}")
+
+
 def bipolar_distance(kind: DistanceKind, x1: BipolarValue, x2: BipolarValue) -> float:
     """Combined distance between two bipolar values, in [0, 1]."""
     return _combine(kind, to_tau_omega(x1), to_tau_omega(x2))
@@ -132,11 +168,8 @@ def fuzzy_distance(mu1: float, mu2: float) -> float:
 
     Algebraically equal to interval_distance on [0, 1].
     """
-    for name, v in (("mu1", mu1), ("mu2", mu2)):
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-            raise ValidationError(f"{name} must be a finite real, got {v!r}")
-        if v < 0.0 or v > 1.0:
-            raise ValidationError(f"{name} must lie in [0, 1], got {v}")
+    mu1 = _check_degree("mu1", mu1)
+    mu2 = _check_degree("mu2", mu2)
     return 2.0 * abs(mu1 - mu2) / (1.0 + max(abs(2.0 * mu1 - 1.0), abs(2.0 * mu2 - 1.0)))
 
 
@@ -150,7 +183,11 @@ def set_distance(
     check_same_universe(a, b)
     if len(a) == 0:
         raise ValidationError("set distance over an empty universe is undefined")
-    values = [bipolar_distance(kind, val, b.value(eid)) for eid, val in a]
+    da = decompose(*a.arrays())
+    db = decompose(*b.arrays(a.universe))
+    # Builtin sum and max over Python floats in universe order, as the
+    # scalar form aggregates them; np.sum would pair terms differently.
+    values = _combine_arrays(kind, da.tau, da.omega, db.tau, db.omega).tolist()
     if aggregation is Aggregation.MEAN:
         return sum(values) / len(values)
     if aggregation is Aggregation.MAX:
@@ -168,10 +205,9 @@ def pairwise_matrix(
     Rows follow universe order: for elements e0, e1, ... the entries are
     (e1, e0), (e2, e0), (e2, e1), ...
     """
-    items = s.items()
-    rows: list[tuple[str, str, float]] = []
-    for j in range(1, len(items)):
-        for k in range(j):
-            d = bipolar_distance(kind, items[j][1], items[k][1])
-            rows.append((items[j][0], items[k][0], 1.0 - d if similarity else d))
-    return tuple(rows)
+    d = decompose(*s.arrays())
+    j, k = np.tril_indices(len(s), -1)
+    dist = _combine_arrays(kind, d.tau[j], d.omega[j], d.tau[k], d.omega[k])
+    ids = np.array(s.universe, dtype=object)
+    values = 1.0 - dist if similarity else dist
+    return tuple(zip(ids[j].tolist(), ids[k].tolist(), values.tolist()))

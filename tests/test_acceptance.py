@@ -348,6 +348,78 @@ def test_criterion_5_property_suites_and_audits(random_pairs):
 
 
 # -------------------------------------------------------------------------
+# The checks criterion 5 bundles, each on its own.  Criterion 5 stays red
+# on the two c5 findings pinned below; these tests keep a new break in any
+# of its other checks from hiding behind that failure.
+# -------------------------------------------------------------------------
+
+
+def test_distance_axioms_d1_to_d6_on_random_pairs(random_pairs):
+    failures = []
+    _check_distance_axioms(random_pairs, failures)
+    finish("d1-d6/s1-s6 on 1e5 random pairs", failures)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_landmark_clauses_s3_s4(kind):
+    assert abs(bipolar_similarity(kind, TRUE, FALSE)) <= 1e-9
+    assert abs(bipolar_similarity(kind, UNKNOWN, CONTRADICTORY)) <= 1e-9
+    for point in (TRUE, FALSE, UNKNOWN, CONTRADICTORY):
+        assert abs(bipolar_similarity(kind, point, AMBIGUOUS) - 0.5) <= 1e-9
+
+
+@pytest.mark.parametrize("kind", ["ph", "min", "med"])
+def test_cardinality_audit_passes_c1_to_c5(kind):
+    report = axiom_audit(CardinalityKind(kind))
+    assert report.passed, [(r.axiom, r.witness) for r in report.results if not r.passed]
+
+
+def test_cardinality_audit_max_fails_with_witnesses():
+    report = axiom_audit(CardinalityKind.CLASSIC_MAX)
+    assert report.failed_axioms()
+    assert all(report.result(a).witness for a in report.failed_axioms())
+
+
+@pytest.mark.parametrize(
+    "kind, witness",
+    [
+        (
+            "pe",
+            "(mu=0.42, nu=0.005) contains (mu=0.42, nu=0.01) "
+            "but value dropped from 0.532201303 to 0.532197485",
+        ),
+        (
+            "pp",
+            "(mu=0.51, nu=0.005) contains (mu=0.51, nu=0.01) "
+            "but value dropped from 0.506756757 to 0.506734007",
+        ),
+    ],
+)
+def test_c5_findings_are_pinned(kind, witness):
+    report = axiom_audit(CardinalityKind(kind))
+    assert report.failed_axioms() == ("c5",)
+    assert report.result("c5").witness == witness
+
+
+@pytest.mark.parametrize("kind", ["sk", "skpi"])
+def test_entropy_audit_passes_e1_to_e5(kind):
+    report = axiom_audit(EntropyKind(kind))
+    assert report.passed, report.failed_axioms()
+
+
+def test_entropy_audit_bb_fails_only_e2_at_the_ambiguous_landmark():
+    report = axiom_audit(EntropyKind.BUSTINCE_BURILLO)
+    assert report.failed_axioms() == ("e2",)
+    assert "0.5" in report.result("e2").witness
+
+
+@pytest.mark.parametrize("norm", list(VectorNorm), ids=lambda n: n.value)
+def test_entropy_audit_gm_passes(norm):
+    report = axiom_audit(EntropyKind.GRZEGORZEWSKI_MROWKA, vector_norm=norm)
+    assert report.passed, report.failed_axioms()
+
+
+# -------------------------------------------------------------------------
 # Criterion 6: structural invariants.
 # -------------------------------------------------------------------------
 

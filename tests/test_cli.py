@@ -29,6 +29,14 @@ class TestPenta:
         assert out.count("\n") >= 18
         assert "T,1.00000,0" in out
 
+    def test_negative_zero_degree_prints_without_sign_in_paper_mode(self, tmp_path, capsysbinary):
+        path = write(tmp_path, "z.csv", "id,mu,nu\nz,-0.0,0.3\nw,0.5,-0.0\n")
+        assert main(["penta", "--paper-rounding", str(path)]) == 0
+        out = capsysbinary.readouterr().out.decode()
+        assert "-0.00" not in out
+        assert "z,0.00,0.30,0.00,0.30,0.70,0.00,0.00,-0.30,-0.70,intuitionistic" in out
+        assert "w,0.50,0.00,0.50,0.00,0.50,0.00,0.00,0.50,-0.50,intuitionistic" in out
+
 
 class TestSimAndDist:
     def test_paper_mode_matrix_entry(self, p1_pair, capsysbinary):

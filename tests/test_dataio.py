@@ -94,6 +94,28 @@ class TestReadDataset:
             read_json('[{"id":"a","mu":0.1,"nu":0.2},{"id":"a","mu":0.1,"nu":0.2}]')
         assert "record 1" in str(err.value)
 
+    def test_leading_byte_order_mark_is_skipped(self):
+        s = read_dataset(io.BytesIO(b"\xef\xbb\xbfid,mu,nu\nx,0.5,0.25\n"), "csv")
+        assert s.universe == ("x",) and s.value("x") == BipolarValue(0.5, 0.25)
+        s = read_dataset(io.BytesIO(b'\xef\xbb\xbf[{"id":"x","mu":0.5,"nu":0}]'), "json")
+        assert s.value("x") == BipolarValue(0.5, 0.0)
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ('{"id":"a","mu":true,"nu":0.1}', "record 1: element 'a': mu must be a JSON number, got true"),
+            ('{"id":"a","mu":0.2,"nu":"0.3"}', "record 1: element 'a': nu must be a JSON number, got \"0.3\""),
+            ('{"id":"a","mu":null,"nu":0.3}', "record 1: element 'a': mu must be a JSON number, got null"),
+        ],
+    )
+    def test_json_degrees_must_be_numbers(self, record, message):
+        with pytest.raises(DatasetError) as err:
+            read_json(f'[{{"id":"ok","mu":0,"nu":1}},{record}]')
+        assert str(err.value) == message
+
+    def test_json_integer_degrees_are_numbers(self):
+        assert read_json('[{"id":"a","mu":1,"nu":0}]').value("a") == BipolarValue(1.0, 0.0)
+
     def test_unknown_format(self):
         from pentafuzz import ValidationError
 

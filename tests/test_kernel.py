@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -64,6 +65,36 @@ class TestBipolarValue:
         assert BipolarValue(0.3, 0.4).kappa == 0.0
         assert BipolarValue(0.8, 0.6).kappa == pytest.approx(0.4, abs=1e-12)
         assert BipolarValue(0.8, 0.6).pi == 0.0
+
+    def test_negative_zero_degree_is_stored_as_positive_zero(self):
+        x = BipolarValue(-0.0, -0.0)
+        assert math.copysign(1.0, x.mu) == 1.0
+        assert math.copysign(1.0, x.nu) == 1.0
+
+    def test_accepts_numpy_scalars(self):
+        x = BipolarValue(np.float32(0.5), np.int64(0))
+        assert (x.mu, x.nu) == (0.5, 0.0)
+        assert type(x.mu) is float and type(x.nu) is float
+
+    @pytest.mark.parametrize("bad", [True, np.bool_(True), "0.5", None, np.float64("nan")])
+    def test_rejects_bools_and_non_reals(self, bad):
+        with pytest.raises(ValidationError, match="must be a finite real"):
+            BipolarValue(bad, 0.0)
+
+
+class TestNumpyScalarComponents:
+    def test_penta_and_tau_omega_accept_numpy_scalars(self):
+        p = PentaValue(np.float64(0.5), np.int64(0), np.float32(0.25), 0, np.float32(0.25))
+        assert (p.t, p.f, p.u, p.c, p.i) == (0.5, 0.0, 0.25, 0.0, 0.25)
+        assert all(type(v) is float for v in (p.t, p.f, p.u, p.c, p.i))
+        w = TauOmega(np.float32(-0.5), np.int64(0))
+        assert (w.tau, w.omega) == (-0.5, 0.0) and type(w.tau) is float
+
+    def test_bool_components_stay_rejected(self):
+        with pytest.raises(ValidationError, match="t must be a finite real"):
+            PentaValue(True, 0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(ValidationError, match="omega must be a finite real"):
+            TauOmega(0.0, np.bool_(False))
 
 
 class TestToPenta:

@@ -80,6 +80,12 @@ def uc_form_omega_distance(x1, x2):
 
 
 class TestInterval:
+    def test_accepts_numpy_scalars(self):
+        iv = Interval(np.int64(-1), np.float32(1.0))
+        assert (iv.a, iv.b) == (-1.0, 1.0) and type(iv.a) is float
+        with pytest.raises(ValidationError, match="a must be a finite real"):
+            Interval(False, 1.0)
+
     def test_degenerate_rejected(self):
         with pytest.raises(ValidationError):
             Interval(1.0, 1.0)
@@ -269,6 +275,11 @@ class TestFuzzyDistance:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValidationError):
             fuzzy_distance(1.1, 0.5)
+
+    def test_accepts_numpy_scalars(self):
+        assert fuzzy_distance(np.float32(0.25), np.int64(1)) == fuzzy_distance(0.25, 1.0)
+        with pytest.raises(ValidationError, match="mu1 must be a finite real"):
+            fuzzy_distance(True, 0.5)
 
     @given(unit_floats, unit_floats)
     def test_equals_interval_distance_on_unit(self, m1, m2):
