@@ -9,7 +9,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import UniverseMismatchError, ValidationError
-from .kernel import BipolarValue
+from .kernel import BipolarValue, degree_arrays
 
 __all__ = [
     "LUKASIEWICZ",
@@ -43,13 +43,21 @@ class NormPair:
     tconorm: Callable[[float, float], float]
 
 
+def _product(a, b):
+    return a * b
+
+
+def _probabilistic_sum(a, b):
+    return a + b - a * b
+
+
 MIN_MAX = NormPair("minmax", min, max)
 LUKASIEWICZ = NormPair(
     "lukasiewicz",
     lambda a, b: max(a + b - 1.0, 0.0),
     lambda a, b: min(a + b, 1.0),
 )
-PRODUCT = NormPair("product", lambda a, b: a * b, lambda a, b: a + b - a * b)
+PRODUCT = NormPair("product", _product, _probabilistic_sum)
 
 NORM_PAIRS: dict[str, NormPair] = {p.name: p for p in (MIN_MAX, LUKASIEWICZ, PRODUCT)}
 
@@ -85,30 +93,101 @@ def negation(x: BipolarValue) -> BipolarValue:
     return BipolarValue(1.0 - x.mu, 1.0 - x.nu)
 
 
+def _add_id(index: dict[str, int], eid) -> None:
+    """Give eid the next position; raise if it is not a nonempty string, or repeats."""
+    if not isinstance(eid, str) or not eid:
+        raise ValidationError(f"element id must be a nonempty string, got {eid!r}")
+    if eid in index:
+        raise ValidationError(f"duplicate element id {eid!r}")
+    index[eid] = len(index)
+
+
+def _index_ids(ids: tuple) -> dict[str, int]:
+    """Each id's position; the first id that is not a nonempty string, or repeats, raises."""
+    if set(map(type, ids)) <= {str}:
+        index = dict(zip(ids, range(len(ids))))
+        if len(index) == len(ids) and "" not in index:
+            return index
+    index = {}
+    for eid in ids:
+        _add_id(index, eid)
+    return index
+
+
+def _checked_value(mu: float, nu: float) -> BipolarValue:
+    """BipolarValue(mu, nu) for degrees a set already checked, without checking them again."""
+    value = object.__new__(BipolarValue)
+    fields = value.__dict__  # BipolarValue is frozen
+    fields["mu"] = mu
+    fields["nu"] = nu
+    return value
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class BipolarFuzzySet:
     """A finite universe of named elements, each carrying a BipolarValue.
 
     Element identifiers are opaque nonempty strings; their insertion order
     fixes iteration and report layout.  Instances are immutable.
+
+    The set stores its ids, an id -> position dict and the degrees as two
+    read-only float64 arrays; ``value``, ``items`` and iteration build
+    BipolarValues only when asked.
     """
 
-    __slots__ = ("_ids", "_values", "_arrays")
+    __slots__ = ("_ids", "_index", "_mu", "_nu")
 
     def __init__(self, pairs: Iterable[tuple[str, BipolarValue]]):
-        ids: list[str] = []
-        values: dict[str, BipolarValue] = {}
+        index: dict[str, int] = {}
+        mu: list[float] = []
+        nu: list[float] = []
         for eid, val in pairs:
-            if not isinstance(eid, str) or not eid:
-                raise ValidationError(f"element id must be a nonempty string, got {eid!r}")
-            if eid in values:
-                raise ValidationError(f"duplicate element id {eid!r}")
+            _add_id(index, eid)
             if not isinstance(val, BipolarValue):
                 raise ValidationError(f"element {eid!r} must carry a BipolarValue, got {val!r}")
-            ids.append(eid)
-            values[eid] = val
-        self._ids = tuple(ids)
-        self._values = values
-        self._arrays: tuple[np.ndarray, np.ndarray] | None = None
+            mu.append(val.mu)
+            nu.append(val.nu)
+        self._store(tuple(index), index, *degree_arrays(mu, nu))
+
+    @classmethod
+    def _from_arrays(cls, ids: Sequence[str], mu, nu) -> BipolarFuzzySet:
+        """The set with element ids[k] carrying (mu[k], nu[k]).
+
+        Ids and degrees are checked once per array.  A failure raises what
+        ``BipolarFuzzySet(zip(ids, map(BipolarValue, mu, nu)))`` raises:
+        the error of the first offending element, its id checked before
+        its degrees.
+        """
+        ids = tuple(ids)
+        mu = np.asarray(mu, dtype=np.float64)
+        nu = np.asarray(nu, dtype=np.float64)
+        if mu.shape != (len(ids),):
+            raise ValidationError(f"{len(ids)} ids but degree arrays of shape {mu.shape}")
+
+        def first_error(k: int) -> None:
+            _index_ids(ids[: k + 1])
+            BipolarValue(float(mu[k]), float(nu[k]))
+
+        mu, nu = degree_arrays(mu, nu, first_error)
+        self = object.__new__(cls)
+        self._store(ids, _index_ids(ids), mu, nu)
+        return self
+
+    def _with_degrees(self, mu: np.ndarray, nu: np.ndarray) -> BipolarFuzzySet:
+        """A set over this universe carrying new degrees, checked once per array."""
+        out = object.__new__(BipolarFuzzySet)
+        out._store(self._ids, self._index, *degree_arrays(mu, nu))
+        return out
+
+    def _store(self, ids: tuple[str, ...], index: dict[str, int], mu, nu) -> None:
+        self._ids = ids
+        self._index = index
+        self._mu = _read_only(mu)
+        self._nu = _read_only(nu)
 
     @property
     def universe(self) -> tuple[str, ...]:
@@ -116,32 +195,26 @@ class BipolarFuzzySet:
 
     def value(self, eid: str) -> BipolarValue:
         try:
-            return self._values[eid]
+            k = self._index[eid]
         except KeyError:
             raise ValidationError(f"element {eid!r} is not in the universe") from None
+        return _checked_value(float(self._mu[k]), float(self._nu[k]))
 
     def arrays(self, order: Sequence[str] | None = None) -> tuple[np.ndarray, np.ndarray]:
         """The degrees as read-only float64 arrays (mu, nu).
 
         Entries follow universe order, or the ids in ``order`` when given.
-        The universe-order arrays are built on first use and kept.
         """
         if order is None or order == self._ids:
-            if self._arrays is None:
-                self._arrays = self._degree_arrays(self._ids)
-            return self._arrays
-        return self._degree_arrays(order)
-
-    def _degree_arrays(self, order: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        values = [self.value(eid) for eid in order]
-        mu = np.array([v.mu for v in values], dtype=np.float64)
-        nu = np.array([v.nu for v in values], dtype=np.float64)
-        mu.flags.writeable = False
-        nu.flags.writeable = False
-        return mu, nu
+            return self._mu, self._nu
+        try:
+            k = np.fromiter(map(self._index.__getitem__, order), dtype=np.intp, count=len(order))
+        except KeyError as exc:
+            raise ValidationError(f"element {exc.args[0]!r} is not in the universe") from None
+        return _read_only(self._mu[k]), _read_only(self._nu[k])
 
     def items(self) -> tuple[tuple[str, BipolarValue], ...]:
-        return tuple((eid, self._values[eid]) for eid in self._ids)
+        return tuple(zip(self._ids, map(_checked_value, self._mu.tolist(), self._nu.tolist())))
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -152,7 +225,11 @@ class BipolarFuzzySet:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BipolarFuzzySet):
             return NotImplemented
-        return self._ids == other._ids and self._values == other._values
+        return (
+            self._ids == other._ids
+            and np.array_equal(self._mu, other._mu)
+            and np.array_equal(self._nu, other._nu)
+        )
 
     def __repr__(self) -> str:
         return f"BipolarFuzzySet({len(self._ids)} elements)"
@@ -173,15 +250,32 @@ class SetOpKind(Enum):
     NEGATION = "negation"
 
 
+# The array forms of complement, dual and negation: same operations, same order.
 _UNARY = {
-    SetOpKind.COMPLEMENT: complement,
-    SetOpKind.DUAL: dual,
-    SetOpKind.NEGATION: negation,
+    SetOpKind.COMPLEMENT: lambda mu, nu: (nu, mu),
+    SetOpKind.DUAL: lambda mu, nu: (1.0 - nu, 1.0 - mu),
+    SetOpKind.NEGATION: lambda mu, nu: (1.0 - mu, 1.0 - nu),
 }
-_BINARY = {
-    SetOpKind.UNION: union,
-    SetOpKind.INTERSECTION: intersection,
+
+# The registry pairs' (t-norm, t-conorm) on arrays: same operations, same order.
+# Plain arithmetic works on floats and arrays alike.
+_ARRAY_FORMS = {
+    MIN_MAX: (np.minimum, np.maximum),
+    LUKASIEWICZ: (
+        lambda a, b: np.maximum(a + b - 1.0, 0.0),
+        lambda a, b: np.minimum(a + b, 1.0),
+    ),
+    PRODUCT: (_product, _probabilistic_sum),
 }
+
+
+def _elementwise(op: Callable[[float, float], float]):
+    """The array form of a scalar norm: op at every pair of entries, in order."""
+
+    def apply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.array(list(map(op, a.tolist(), b.tolist())), dtype=np.float64)
+
+    return apply
 
 
 def set_op(
@@ -193,15 +287,22 @@ def set_op(
     """Apply one of the five operators elementwise.
 
     Binary kinds require two sets over strictly equal universes; no
-    implicit outer-join is performed.
+    implicit outer-join is performed.  The result follows a's universe
+    order and equals the scalar operator at every element, bit for bit;
+    a result degree outside [0, 1] raises the scalar error of the first
+    such element.
     """
+    mu, nu = a.arrays()
     if kind in _UNARY:
         if b is not None:
             raise ValidationError(f"{kind.value} takes a single set")
-        op = _UNARY[kind]
-        return BipolarFuzzySet((eid, op(val)) for eid, val in a)
+        return a._with_degrees(*_UNARY[kind](mu, nu))
     if b is None:
         raise ValidationError(f"{kind.value} requires two sets")
     check_same_universe(a, b)
-    binop = _BINARY[kind]
-    return BipolarFuzzySet((eid, binop(val, b.value(eid), norms)) for eid, val in a)
+    b_mu, b_nu = b.arrays(a.universe)
+    # A pair outside the registry applies its scalar forms entry by entry.
+    tnorm, tconorm = _ARRAY_FORMS.get(norms) or map(_elementwise, (norms.tnorm, norms.tconorm))
+    if kind is SetOpKind.UNION:
+        return a._with_degrees(tconorm(mu, b_mu), tnorm(nu, b_nu))
+    return a._with_degrees(tnorm(mu, b_mu), tconorm(nu, b_nu))

@@ -322,12 +322,14 @@ def raise_first(bad: np.ndarray, scalar: Callable[[int], object]) -> None:
     raise AssertionError(f"entry {k} was flagged but passes the scalar check")
 
 
-def decompose(mu, nu) -> PentaArrays:
-    """Decompose arrays of degrees; entry k equals to_penta/to_tau_omega of (mu[k], nu[k]).
+def degree_arrays(
+    mu, nu, scalar: Callable[[int], object] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Degrees as new float64 arrays, checked as BipolarValue checks them.
 
-    Degrees are checked as BipolarValue checks them, and the PentaValue and
-    TauOmega invariants once per array; a violation raises the scalar
-    error of the first offending entry.
+    An entry outside [0, 1], nan or inf included, raises the BipolarValue
+    error of the first such entry, or whatever ``scalar(k)`` raises for it
+    when given.  As in BipolarValue, -0.0 is stored as +0.0.
     """
     mu = np.asarray(mu, dtype=np.float64)
     nu = np.asarray(nu, dtype=np.float64)
@@ -336,10 +338,18 @@ def decompose(mu, nu) -> PentaArrays:
             f"mu and nu must be 1-d arrays of one length, got shapes {mu.shape}, {nu.shape}"
         )
     in_range = (mu >= 0.0) & (mu <= 1.0) & (nu >= 0.0) & (nu <= 1.0)
-    raise_first(~in_range, lambda k: BipolarValue(float(mu[k]), float(nu[k])))
-    # The stored degrees of BipolarValue: -0.0 becomes +0.0.
-    mu = mu + 0.0
-    nu = nu + 0.0
+    raise_first(~in_range, scalar or (lambda k: BipolarValue(float(mu[k]), float(nu[k]))))
+    return mu + 0.0, nu + 0.0
+
+
+def decompose(mu, nu) -> PentaArrays:
+    """Decompose arrays of degrees; entry k equals to_penta/to_tau_omega of (mu[k], nu[k]).
+
+    Degrees are checked as BipolarValue checks them, and the PentaValue and
+    TauOmega invariants once per array; a violation raises the scalar
+    error of the first offending entry.
+    """
+    mu, nu = degree_arrays(mu, nu)
     t, f, u, c = penta_arrays(mu, nu)
     i = 1.0 - np.abs(mu - nu) - np.abs(mu + nu - 1.0)
     tau = t - f

@@ -209,3 +209,40 @@ class TestSetOp:
             u = set_op(SetOpKind.UNION, a, b, norms)
             for eid, val in u:
                 assert val == union(a.value(eid), b.value(eid), norms)
+
+
+class TestSetStorage:
+    def test_from_arrays_equals_the_pairs_constructor(self):
+        s = BipolarFuzzySet._from_arrays(["a", "b"], np.array([0.25, -0.0]), [1.0, 0.5])
+        assert s == BipolarFuzzySet([("a", BipolarValue(0.25, 1.0)), ("b", BipolarValue(0.0, 0.5))])
+        mu, nu = s.arrays()
+        assert mu.dtype == np.float64 and not mu.flags.writeable and not nu.flags.writeable
+        assert str(mu[1]) == "0.0"  # -0.0 is stored as +0.0, as BipolarValue stores it
+        assert s.items() == (("a", BipolarValue(0.25, 1.0)), ("b", BipolarValue(0.0, 0.5)))
+
+    @pytest.mark.parametrize(
+        "ids, mu, message",
+        [
+            # The first offending element raises; its id is checked before its degrees.
+            (["a", "", "c"], [0.1, 2.0, 0.1], "element id must be a nonempty string, got ''"),
+            (["a", "b", "a"], [0.1, 2.0, 0.1], "mu must lie in [0, 1], got 2.0"),
+            (["a", "b", "a"], [0.1, 0.2, float("nan")], "duplicate element id 'a'"),
+            (["a", 7, "c"], [0.1, 0.2, 0.3], "element id must be a nonempty string, got 7"),
+        ],
+    )
+    def test_from_arrays_raises_the_error_of_the_first_offender(self, ids, mu, message):
+        with pytest.raises(ValidationError) as err:
+            BipolarFuzzySet._from_arrays(ids, mu, [0.0] * len(mu))
+        assert str(err.value) == message
+
+    def test_pairs_constructor_checks_each_id_before_its_value(self):
+        with pytest.raises(ValidationError, match="duplicate element id 'a'"):
+            BipolarFuzzySet([("a", TRUE), ("a", (1.0, 0.0))])
+        with pytest.raises(ValidationError, match="must carry a BipolarValue"):
+            BipolarFuzzySet([("a", TRUE), ("b", (1.0, 0.0)), ("a", TRUE)])
+
+    def test_lengths_must_agree(self):
+        with pytest.raises(ValidationError):
+            BipolarFuzzySet._from_arrays(["a"], [0.1, 0.2], [0.1, 0.2])
+        with pytest.raises(ValidationError):
+            BipolarFuzzySet._from_arrays(["a", "b"], [0.1, 0.2], [0.1])

@@ -17,12 +17,14 @@ from hypothesis import given, settings
 
 from pentafuzz import (
     EPSILON,
+    NORM_PAIRS,
     Aggregation,
     BipolarFuzzySet,
     BipolarValue,
     CardinalityKind,
     DistanceKind,
     EntropyKind,
+    NormPair,
     SetOpKind,
     UndefinedValueError,
     ValidationError,
@@ -32,13 +34,18 @@ from pentafuzz import (
     cardinality_point,
     cardinality_set,
     classify,
+    complement,
+    dual,
     entropy_point,
     entropy_set,
+    intersection,
+    negation,
     pairwise_matrix,
     set_distance,
     set_op,
     to_penta,
     to_tau_omega,
+    union,
 )
 from pentafuzz.cli import _element_rows
 from pentafuzz.dataio import ElementRow
@@ -302,3 +309,79 @@ class TestErrorPaths:
         assert got[1] is UndefinedValueError and "(1.0, 1.0)" in got[2]
         with pytest.raises(UndefinedValueError, match=r"\(1\.0, 1\.0\)"):
             _element_rows(s, entropy_kinds=(kind,))
+
+
+# set_op runs on the degree arrays; the scalar operators are its oracle.
+
+TENTHS = st.sampled_from([k / 10 for k in range(11)])
+
+
+@st.composite
+def set_op_operands(draw):
+    """Two sets over one universe, the second listing it in another order."""
+    n = draw(st.integers(min_value=0, max_value=10))
+    cell = st.one_of(degrees, TENTHS)
+    ids = [f"e{k}" for k in range(n)]
+    a = BipolarFuzzySet((eid, BipolarValue(draw(cell), draw(cell))) for eid in ids)
+    ids_b = draw(st.permutations(ids))
+    b = BipolarFuzzySet((eid, BipolarValue(draw(cell), draw(cell))) for eid in ids_b)
+    return a, b
+
+
+def scalar_set_op(kind, a, b, norms):
+    """The per-element route set_op took before the array path."""
+    unary = {SetOpKind.COMPLEMENT: complement, SetOpKind.DUAL: dual, SetOpKind.NEGATION: negation}
+    if kind in unary:
+        return BipolarFuzzySet((eid, unary[kind](val)) for eid, val in a)
+    binop = union if kind is SetOpKind.UNION else intersection
+    return BipolarFuzzySet((eid, binop(val, b.value(eid), norms)) for eid, val in a)
+
+
+def set_outcome(fn, *args):
+    """A set's ids and degree bits, or the type and message of what it raises."""
+    try:
+        s = fn(*args)
+    except ValidationError as exc:
+        return ("raises", type(exc), str(exc))
+    mu, nu = s.arrays()
+    return ("returns", s.universe, bits(mu.tolist()), bits(nu.tolist()))
+
+
+class TestSetOp:
+    @settings(max_examples=150)
+    @given(set_op_operands(), st.sampled_from(SetOpKind), st.sampled_from(sorted(NORM_PAIRS)))
+    def test_set_op_equals_the_scalar_operators(self, operands, kind, norm_name):
+        a, b = operands
+        norms = NORM_PAIRS[norm_name]
+        b = b if kind in (SetOpKind.UNION, SetOpKind.INTERSECTION) else None
+        got = set_outcome(set_op, kind, a, b, norms)
+        assert got == set_outcome(scalar_set_op, kind, a, b, norms)
+
+    def test_a_degree_past_one_raises_the_scalar_error_of_the_first(self):
+        # The bounded pairs keep results in [0, 1]; an unbounded sum does not.
+        def plus(x, y):
+            return x + y
+
+        def times(x, y):
+            return x * y
+
+        loose = NormPair("sum", times, plus)
+        a = BipolarFuzzySet([("x", BipolarValue(0.2, 0.3)), ("y", BipolarValue(1.0, 0.9))])
+        b = BipolarFuzzySet([("y", BipolarValue(0.25, 0.5)), ("x", BipolarValue(0.1, 0.9))])
+        for kind in (SetOpKind.UNION, SetOpKind.INTERSECTION):
+            got = set_outcome(set_op, kind, a, b, loose)
+            assert got == set_outcome(scalar_set_op, kind, a, b, loose)
+            assert got[:2] == ("raises", ValidationError)
+        assert got[2] == "nu must lie in [0, 1], got 1.2"
+
+    def test_a_norm_pair_outside_the_registry_applies_its_scalar_forms(self):
+        drastic = NormPair(
+            "drastic",
+            lambda x, y: min(x, y) if max(x, y) == 1.0 else 0.0,
+            lambda x, y: max(x, y) if min(x, y) == 0.0 else 1.0,
+        )
+        a = BipolarFuzzySet([("x", BipolarValue(1.0, 0.3)), ("y", BipolarValue(0.4, 0.0))])
+        b = BipolarFuzzySet([("x", BipolarValue(0.6, 0.5)), ("y", BipolarValue(0.7, 0.2))])
+        for kind in (SetOpKind.UNION, SetOpKind.INTERSECTION):
+            got = set_outcome(set_op, kind, a, b, drastic)
+            assert got == set_outcome(scalar_set_op, kind, a, b, drastic)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pentafuzz
 from pentafuzz.cli import main
 
 
@@ -233,3 +238,42 @@ class TestDiagnosticsAndDeterminism:
         path.write_text("id,mu,nu\na,1,0\n")
         assert main(["penta", str(path)]) == 1
         assert "JSON" in capsys.readouterr().err
+
+
+class TestModuleEntryPoint:
+    """``python -m pentafuzz`` writes the bytes cli.main writes, for every subcommand."""
+
+    COMMANDS = [
+        ["penta", "{data}"],
+        ["sim", "--kind", "pp", "{data}"],
+        ["dist", "--kind", "ph", "{data}"],
+        ["dist", "--kind", "pe", "--agg", "max", "{data}", "{data}"],
+        ["card", "--kind", "pe", "{data}"],
+        ["entropy", "--kind", "gm", "--vector-norm", "sum", "{data}"],
+        ["setop", "union", "--tnorm", "product", "{data}", "{data}"],
+        ["setop", "dual", "{data}"],
+        ["audit", "--kind", "bb"],
+    ]
+
+    def test_reports_equal_cli_main(self, landmark_dataset_path, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(pentafuzz.__file__).parent.parent)}
+        jobs = []
+        for k, command in enumerate(self.COMMANDS):
+            for fmt in ("csv", "json"):
+                for paper in ([], ["--paper-rounding"]):
+                    argv = [a.format(data=landmark_dataset_path) for a in command]
+                    argv += ["--format", fmt, *paper]
+                    name = f"{k}-{fmt}-{bool(paper)}"
+                    jobs.append((argv, tmp_path / f"{name}.module", tmp_path / f"{name}.main"))
+        for start in range(0, len(jobs), 4):  # a few interpreters at a time
+            batch = jobs[start : start + 4]
+            procs = [
+                subprocess.Popen(
+                    [sys.executable, "-m", "pentafuzz", *argv, "--out", str(out)], env=env
+                )
+                for argv, out, _ in batch
+            ]
+            assert [p.wait(timeout=120) for p in procs] == [0] * len(batch)
+        for argv, module_out, main_out in jobs:
+            assert main(argv + ["--out", str(main_out)]) == 0
+            assert module_out.read_bytes() == main_out.read_bytes(), argv

@@ -1,9 +1,18 @@
+import csv
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
-from pentafuzz import BipolarFuzzySet, BipolarValue, DatasetError, EntropyKind, axiom_audit
+from pentafuzz import (
+    BipolarFuzzySet,
+    BipolarValue,
+    DatasetError,
+    EntropyKind,
+    ValidationError,
+    axiom_audit,
+)
 from pentafuzz.dataio import (
     ElementRow,
     MeasureReport,
@@ -113,8 +122,33 @@ class TestReadDataset:
             read_json(f'[{{"id":"ok","mu":0,"nu":1}},{record}]')
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            "0.1_2",  # float() reads 0.12
+            "\u0660.\u0665",  # Arabic-Indic digits; float() reads 0.5
+            "\u00a00.5",  # a no-break space; float() strips it
+        ],
+    )
+    def test_csv_degrees_are_ascii_numbers_without_underscores(self, cell):
+        cases = ((f"x,{cell},0.3", f"{cell!r}, '0.3'"), (f"x,0.3,{cell}", f"'0.3', {cell!r}"))
+        for row, shown in cases:
+            with pytest.raises(DatasetError) as err:
+                read_csv(f"id,mu,nu\nok,0,1\n{row}\n")
+            assert str(err.value) == f"line 3: mu/nu must be numbers, got {shown}"
+
+    def test_csv_degrees_may_carry_ascii_spaces_and_exponents(self):
+        s = read_csv("id,mu,nu\nx, 0.5 ,1e-1\n")
+        assert s.value("x") == BipolarValue(0.5, 0.1)
+
     def test_json_integer_degrees_are_numbers(self):
         assert read_json('[{"id":"a","mu":1,"nu":0}]').value("a") == BipolarValue(1.0, 0.0)
+
+    def test_json_integer_degree_past_the_float_range_is_a_dataset_error(self):
+        huge = "1" + "0" * 400  # float() of it raises OverflowError
+        with pytest.raises(DatasetError) as err:
+            read_json(f'[{{"id":"ok","mu":0,"nu":1}},{{"id":"a","mu":0.5,"nu":{huge}}}]')
+        assert str(err.value) == f"record 1: element 'a': nu must lie in [0, 1], got {huge}"
 
     def test_unknown_format(self):
         from pentafuzz import ValidationError
@@ -124,6 +158,37 @@ class TestReadDataset:
 
 
 class TestWriteDataset:
+    def test_degrees_are_written_with_six_significant_digits(self):
+        s = BipolarFuzzySet(
+            [("a", BipolarValue(0.123456789, 1 / 3)), ("b", BipolarValue(0.0, 1.0))]
+        )
+        assert write_dataset(s, "csv") == b"id,mu,nu\na,0.123457,0.333333\nb,0,1.00000\n"
+        assert write_dataset(s, "json") == (
+            b'[\n  {\n    "id": "a",\n    "mu": 0.123457,\n    "nu": 0.333333\n  },\n'
+            b'  {\n    "id": "b",\n    "mu": 0.0,\n    "nu": 1.0\n  }\n]\n'
+        )
+        for fmt in ("csv", "json"):
+            back = read_dataset(io.BytesIO(write_dataset(s, fmt)), fmt)
+            assert back.value("a") == BipolarValue(0.123457, 0.333333)
+
+    def test_ids_are_quoted_and_escaped_as_the_csv_and_json_modules_do(self):
+        ids = ['a,b', 'say "hi"', "line\nbreak", "caf\u00e9", "tab\there"]
+        s = BipolarFuzzySet((eid, BipolarValue(0.5, 0.25)) for eid in ids)
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["id", "mu", "nu"])
+        writer.writerows([eid, "0.500000", "0.250000"] for eid in ids)
+        assert write_dataset(s, "csv") == out.getvalue().encode("utf-8")
+        records = [{"id": eid, "mu": 0.5, "nu": 0.25} for eid in ids]
+        assert write_dataset(s, "json") == (json.dumps(records, indent=2) + "\n").encode("utf-8")
+        for fmt in ("csv", "json"):
+            assert read_dataset(io.BytesIO(write_dataset(s, fmt)), fmt) == s
+
+    def test_empty_set(self):
+        s = BipolarFuzzySet([])
+        assert write_dataset(s, "csv") == b"id,mu,nu\n"
+        assert write_dataset(s, "json") == b"[]\n"
+
     def test_round_trip_csv_and_json(self):
         s = BipolarFuzzySet(
             [("a", BipolarValue(0.25, 0.5)), ("b", BipolarValue(1.0, 0.0))]
@@ -205,6 +270,13 @@ class TestWriteReport:
         assert doc["similarity"][0]["value"] == float(format_real(2 / 3))
         # serializing the parsed numbers again changes nothing
         assert json.dumps(doc["elements"][0]["card_ph"]) == "0.391304"
+
+    def test_rows_must_carry_one_measure_per_named_kind(self):
+        report = example_report()
+        short = replace(report, elements=(replace(report.elements[0], cardinalities=()),))
+        for fmt in ("csv", "json"):
+            with pytest.raises(ValidationError, match="'x1' carries 0 cardinalities"):
+                write_report(short, fmt)
 
     def test_similarity_null_when_absent(self):
         report = MeasureReport(metadata=ReportMetadata(dataset="d", tool_version="v"))

@@ -1,0 +1,121 @@
+"""format_real's bytes, pinned, and the bulk formatter held to them.
+
+format_reals must return exactly [format_real(x, paper=p) for x in xs]:
+on pinned edge cases, on a seeded corpus of a million values built around
+the places where a fast formatter could go wrong, and on every finite
+float hypothesis draws.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from pentafuzz.dataio import format_real, format_reals
+
+
+@pytest.mark.parametrize(
+    "x, paper, text",
+    [
+        # A carry keeps the digits of the exponent before it: seven of them.
+        (0.9999995, False, "1.000000"),
+        (9.999995, False, "10.00000"),
+        (1234567.0, False, "1234570"),
+        # repr ties at the rounding digit round half-even on the repr.
+        (0.1234565, False, "0.123456"),
+        (2345.625, False, "2345.62"),
+        (1e-07, False, "0.000000100000"),
+        (5e-324, False, "0." + "0" * 323 + "500000"),
+        (-0.0, False, "0"),
+        (-0.0, True, "-0.00"),
+        (0.19999999999999996, True, "0.20"),
+        (2 / 3, True, "0.66"),
+        (-0.001, True, "-0.00"),
+        # A repr tie at the twelve-decimal snap rounds half-even on the repr.
+        (0.0299999999995, True, "0.03"),
+    ],
+)
+def test_format_real_pinned_bytes(x, paper, text):
+    assert format_real(x, paper=paper) == text
+    assert format_reals([x], paper=paper) == [text]
+
+
+def test_format_reals_takes_any_sequence_of_reals():
+    assert format_reals([]) == []
+    assert format_reals(np.array([0.5, 1, -2])) == ["0.500000", "1.00000", "-2.00000"]
+    assert format_reals((1 / 3,), paper=True) == ["0.33"]
+
+
+def _corpus(n: int, seed: int) -> np.ndarray:
+    """Seeded reals, dense where a fast formatter could differ from format_real."""
+    rng = np.random.default_rng(seed)
+    m = n // 8
+    digits7 = rng.integers(1_000_000, 10_000_000, m)
+    exp = rng.integers(-12, 8, m)
+    ties7 = (digits7 - digits7 % 10 + 5) * 10.0 ** (exp - 6)  # 7 digits ending in 5
+    ties13 = (rng.integers(0, 10**15, m) // 10 * 10 + 5) / 1e13  # 13 decimals ending in 5
+    # Half of 1e-12 either side of a hundredth, where the snap decides the truncation.
+    snaps = (rng.integers(-10_000, 10_000, m) * 10**11 + rng.choice([-5, 5], m)) / 1e13
+    grid = rng.integers(-400, 401, m) / 20.0  # multiples of 0.05
+    powers = 10.0 ** rng.integers(-8, 18, m)
+    wide = 10.0 ** rng.uniform(-324, 308, m)  # every finite magnitude
+    parts = [
+        rng.random(n - 8 * m),  # unit interval, as measures and degrees
+        ties7,
+        ties13,
+        snaps,
+        grid,
+        # one ulp either side of powers of ten and of the ties
+        np.nextafter(powers, np.where(rng.random(m) < 0.5, 0.0, np.inf)),
+        np.nextafter(ties7, np.where(rng.random(m) < 0.5, 0.0, np.inf)),
+        wide,
+        rng.random(m) * 200.0 - 100.0,  # both signs, across the paper-mode limit
+    ]
+    values = np.concatenate(parts)
+    values[rng.random(values.size) < 0.3] *= -1.0
+    values[rng.random(values.size) < 0.01] = 0.0
+    return values
+
+
+@pytest.mark.parametrize("paper", [False, True])
+def test_format_reals_equals_format_real_on_a_million_values(paper):
+    xs = _corpus(1_000_000, seed=20151).tolist()
+    if paper:
+        # Paper mode's twelve-decimal snap overflows the decimal context
+        # beyond 1e16; the corpus keeps to what format_real can render.
+        xs = [x for x in xs if abs(x) < 1e15]
+    got = format_reals(xs, paper=paper)
+    want = [format_real(x, paper=paper) for x in xs]
+    assert got == want
+
+
+def _same_as_format_real(xs, paper):
+    try:
+        want = [format_real(x, paper=paper) for x in xs]
+    except Exception as exc:  # format_reals must raise what format_real raises
+        with pytest.raises(type(exc)):
+            format_reals(xs, paper=paper)
+        return
+    assert format_reals(xs, paper=paper) == want
+
+
+@settings(max_examples=300)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40), st.booleans())
+@example([0.1234565, 2345.625, 9.999995, 5e-324, -0.0, 1e16], False)
+@example([0.19999999999999996, 5e-13, -5e-13, 99.995, 1e20], True)
+def test_format_reals_equals_format_real_on_all_finite_floats(xs, paper):
+    _same_as_format_real(xs, paper)
+
+
+@given(st.lists(st.integers(min_value=-(10**15), max_value=10**15), max_size=20), st.booleans())
+def test_format_reals_on_short_decimals(ks, paper):
+    # Decimals with few digits land on the formatter's rounding boundaries.
+    for scale in (1e3, 1e7, 1e13):
+        _same_as_format_real([k / scale for k in ks], paper)
+
+
+def test_non_finite_values_match_format_real():
+    for x in (math.nan, math.inf, -math.inf):
+        _same_as_format_real([0.5, x], False)
