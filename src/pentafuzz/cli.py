@@ -1,8 +1,8 @@
 """Batch command line for decomposition, distances, measures, set algebra, and audits.
 
 Exit status: 0 on success, 1 on validation errors (bad paths, malformed
-data, domain violations, audit disagreement under --expect-paper), 2 on
-usage errors.
+data, domain violations, an unwritable --out, audit disagreement under
+--expect-paper), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .algebra import BipolarFuzzySet, SetOpKind, get_norm_pair, set_op
+from .algebra import NORM_PAIRS, BipolarFuzzySet, SetOpKind, set_op
 from .dataio import (
     ElementRow,
     MeasureReport,
@@ -38,68 +38,12 @@ from .measures import (
 )
 from .metrics import Aggregation, DistanceKind, pairwise_matrix, set_distance
 
-_DISTANCE_KINDS = {k.value: k for k in DistanceKind}
-_CARDINALITY_KINDS = {k.value: k for k in CardinalityKind}
-_ENTROPY_KINDS = {k.value: k for k in EntropyKind}
-_AUDIT_SHARED = set(_DISTANCE_KINDS)  # pe/ph/pp exist in both audit families
+# The audit's measure families, by their --family name.
+_FAMILIES = {"card": CardinalityKind, "entropy": EntropyKind}
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pentafuzz",
-        description="Measurement kernel for bipolar fuzzy datasets.",
-    )
-    parser.add_argument("--version", action="version", version=f"pentafuzz {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="output format (default csv)")
-        p.add_argument("--paper-rounding", action="store_true",
-                       help="render two decimals truncated toward zero")
-        p.add_argument("--out", type=Path, default=None, help="write output to a file")
-
-    p = sub.add_parser("penta", help="decompose every element into its five indexes")
-    p.add_argument("inputs", nargs=1, type=Path, metavar="INPUT")
-    common(p)
-
-    for name, blurb in (("dist", "pairwise distances"), ("sim", "pairwise similarities")):
-        p = sub.add_parser(name, help=f"{blurb} within one set, or between two sets")
-        p.add_argument("inputs", nargs="+", type=Path, metavar="INPUT")
-        p.add_argument("--kind", choices=sorted(_DISTANCE_KINDS), default="pe")
-        p.add_argument("--agg", choices=[a.value for a in Aggregation], default="mean",
-                       help="aggregation for the two-set form (default mean)")
-        common(p)
-
-    p = sub.add_parser("card", help="set and border cardinality")
-    p.add_argument("inputs", nargs=1, type=Path, metavar="INPUT")
-    p.add_argument("--kind", choices=sorted(_CARDINALITY_KINDS), default="pe")
-    common(p)
-
-    p = sub.add_parser("entropy", help="set entropy")
-    p.add_argument("inputs", nargs=1, type=Path, metavar="INPUT")
-    p.add_argument("--kind", choices=sorted(_ENTROPY_KINDS), default="pe")
-    p.add_argument("--vector-norm", choices=[n.value for n in VectorNorm], default="max",
-                   help="scalar reduction for the vector entropy (default max)")
-    common(p)
-
-    p = sub.add_parser("setop", help="pointwise set operation")
-    p.add_argument("kind", choices=[k.value for k in SetOpKind])
-    p.add_argument("inputs", nargs="+", type=Path, metavar="INPUT")
-    p.add_argument("--tnorm", choices=("minmax", "lukasiewicz", "product"), default="minmax")
-    common(p)
-
-    p = sub.add_parser("audit", help="run the axiom audit for a named measure")
-    p.add_argument("--kind", required=True,
-                   choices=sorted(set(_CARDINALITY_KINDS) | set(_ENTROPY_KINDS)))
-    p.add_argument("--family", choices=("card", "entropy"), default=None,
-                   help="required for kinds that exist in both families (pe, ph, pp)")
-    p.add_argument("--vector-norm", choices=[n.value for n in VectorNorm], default="max")
-    p.add_argument("--expect-paper", action="store_true",
-                   help="exit 1 when the audit disagrees with the published pass/fail pattern")
-    common(p)
-
-    return parser
+def _values(*enums) -> list[str]:
+    return sorted({member.value for enum in enums for member in enum})
 
 
 def _load(path: Path) -> BipolarFuzzySet:
@@ -109,14 +53,6 @@ def _load(path: Path) -> BipolarFuzzySet:
             return read_dataset(fh, fmt)
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc.strerror or exc}") from None
-
-
-def _emit(data: bytes, out: Path | None) -> None:
-    if out is None:
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
-    else:
-        out.write_bytes(data)
 
 
 def _element_rows(
@@ -147,139 +83,152 @@ def _element_rows(
     )
 
 
-def _metadata(args, dataset_name: str, **extra) -> ReportMetadata:
-    return ReportMetadata(
-        dataset=dataset_name,
+def _report(args, elements=(), aggregates=(), similarity=None, **metadata) -> bytes:
+    """A measure report on the inputs, named after their stems, in the chosen format."""
+    meta = ReportMetadata(
+        dataset="|".join(path.stem for path in args.inputs),
         tool_version=__version__,
         paper_rounding=args.paper_rounding,
-        **extra,
+        **metadata,
     )
+    return write_report(MeasureReport(meta, elements, aggregates, similarity), args.format)
 
 
-def _run_penta(args) -> int:
-    dataset = _load(args.inputs[0])
-    report = MeasureReport(
-        metadata=_metadata(args, args.inputs[0].stem),
-        elements=_element_rows(dataset),
-    )
-    _emit(write_report(report, args.format), args.out)
-    return 0
+def _penta(args) -> bytes:
+    return _report(args, _element_rows(_load(args.inputs[0])))
 
 
-def _run_dist(args, similarity: bool, parser: argparse.ArgumentParser) -> int:
-    kind = _DISTANCE_KINDS[args.kind]
+def _distance(args) -> bytes:
+    kind = DistanceKind(args.kind)
+    similarity = args.command == "sim"
     if len(args.inputs) > 2:
-        parser.error("dist/sim take one input (pairwise matrix) or two (set distance)")
+        args.usage_error("dist/sim take one input (pairwise matrix) or two (set distance)")
     if len(args.inputs) == 1:
         dataset = _load(args.inputs[0])
-        report = MeasureReport(
-            metadata=_metadata(args, args.inputs[0].stem, distance_kind=args.kind),
-            elements=_element_rows(dataset),
-            similarity=pairwise_matrix(kind, dataset, similarity=similarity),
-        )
-    else:
-        left, right = _load(args.inputs[0]), _load(args.inputs[1])
-        d = set_distance(kind, left, right, Aggregation(args.agg))
-        name = "set_similarity" if similarity else "set_distance"
-        report = MeasureReport(
-            metadata=_metadata(
-                args,
-                f"{args.inputs[0].stem}|{args.inputs[1].stem}",
-                distance_kind=args.kind,
-                aggregation=args.agg,
-            ),
-            aggregates=((name, 1.0 - d if similarity else d),),
-        )
-    _emit(write_report(report, args.format), args.out)
-    return 0
+        rows = _element_rows(dataset)
+        matrix = pairwise_matrix(kind, dataset, similarity=similarity)
+        return _report(args, rows, similarity=matrix, distance_kind=args.kind)
+    d = set_distance(kind, *map(_load, args.inputs), Aggregation(args.agg))
+    aggregate = ("set_similarity", 1.0 - d) if similarity else ("set_distance", d)
+    return _report(args, aggregates=(aggregate,), distance_kind=args.kind, aggregation=args.agg)
 
 
-def _run_card(args) -> int:
-    kind = _CARDINALITY_KINDS[args.kind]
+def _card(args) -> bytes:
+    kind = CardinalityKind(args.kind)
     dataset = _load(args.inputs[0])
-    report = MeasureReport(
-        metadata=_metadata(args, args.inputs[0].stem, cardinality_kinds=(args.kind,)),
-        elements=_element_rows(dataset, card_kinds=(kind,)),
-        aggregates=(
-            ("set_cardinality", cardinality_set(kind, dataset)),
-            ("border_cardinality", border_cardinality(kind, dataset)),
-        ),
+    rows = _element_rows(dataset, card_kinds=(kind,))
+    aggregates = (
+        ("set_cardinality", cardinality_set(kind, dataset)),
+        ("border_cardinality", border_cardinality(kind, dataset)),
     )
-    _emit(write_report(report, args.format), args.out)
-    return 0
+    return _report(args, rows, aggregates, cardinality_kinds=(args.kind,))
 
 
-def _run_entropy(args) -> int:
-    kind = _ENTROPY_KINDS[args.kind]
-    norm = VectorNorm(args.vector_norm)
+def _entropy(args) -> bytes:
+    kind, norm = EntropyKind(args.kind), VectorNorm(args.vector_norm)
     dataset = _load(args.inputs[0])
-    report = MeasureReport(
-        metadata=_metadata(args, args.inputs[0].stem, entropy_kinds=(args.kind,)),
-        elements=_element_rows(dataset, entropy_kinds=(kind,), vector_norm=norm),
-        aggregates=(("set_entropy", entropy_set(kind, dataset, norm)),),
-    )
-    _emit(write_report(report, args.format), args.out)
-    return 0
+    rows = _element_rows(dataset, entropy_kinds=(kind,), vector_norm=norm)
+    aggregates = (("set_entropy", entropy_set(kind, dataset, norm)),)
+    return _report(args, rows, aggregates, entropy_kinds=(args.kind,))
 
 
-def _run_setop(args, parser: argparse.ArgumentParser) -> int:
+def _setop(args) -> bytes:
     kind = SetOpKind(args.kind)
-    binary = kind in (SetOpKind.UNION, SetOpKind.INTERSECTION)
-    expected = 2 if binary else 1
+    expected = 2 if kind in (SetOpKind.UNION, SetOpKind.INTERSECTION) else 1
     if len(args.inputs) != expected:
-        parser.error(f"setop {args.kind} takes exactly {expected} input file(s)")
-    norms = get_norm_pair(args.tnorm)
-    left = _load(args.inputs[0])
-    right = _load(args.inputs[1]) if binary else None
-    _emit(write_dataset(set_op(kind, left, right, norms), args.format), args.out)
-    return 0
+        args.usage_error(f"setop {args.kind} takes exactly {expected} input file(s)")
+    result = set_op(kind, *map(_load, args.inputs), norms=NORM_PAIRS[args.tnorm])
+    return write_dataset(result, args.format)
 
 
-def _run_audit(args, parser: argparse.ArgumentParser) -> int:
-    if args.kind in _AUDIT_SHARED:
-        if args.family is None:
-            parser.error(f"--kind {args.kind} exists in both families; pass --family")
-        kind = (
-            _CARDINALITY_KINDS[args.kind] if args.family == "card" else _ENTROPY_KINDS[args.kind]
-        )
-    elif args.kind in {"min", "med", "max"}:
-        kind = _CARDINALITY_KINDS[args.kind]
-    else:
-        kind = _ENTROPY_KINDS[args.kind]
+def _audit(args) -> bytes:
+    owners = [name for name, enum in _FAMILIES.items() if args.kind in _values(enum)]
+    if args.family is None and len(owners) > 1:
+        args.usage_error(f"--kind {args.kind} exists in both families; pass --family")
+    if args.family not in (None, *owners):
+        args.usage_error(f"--kind {args.kind} is in the {owners[0]} family, not {args.family}")
+    kind = _FAMILIES[args.family or owners[0]](args.kind)
     report = axiom_audit(kind, vector_norm=VectorNorm(args.vector_norm))
-    _emit(write_audit(report, args.format), args.out)
     if args.expect_paper and not matches_paper_pattern(report):
-        print(
-            f"error: audit of {report.kind} ({report.family}) disagrees with the published "
-            f"pass/fail pattern: failed axioms {list(report.failed_axioms())}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+        failed = list(report.failed_axioms())
+        print(f"error: audit of {report.kind} ({report.family}) disagrees with the published "
+              f"pass/fail pattern: failed axioms {failed}", file=sys.stderr)
+        args.status = 1
+    return write_audit(report, args.format)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="pentafuzz",
+        description="Measurement kernel for bipolar fuzzy datasets.",
+    )
+    parser.add_argument("--version", action="version", version=f"pentafuzz {__version__}")
+    # Handlers call args.usage_error (exit 2) and set args.status after a failed check.
+    parser.set_defaults(status=0, usage_error=parser.error)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name: str, run, help: str, nargs=1) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        if nargs is not None:
+            p.add_argument("inputs", nargs=nargs, type=Path, metavar="INPUT")
+        p.add_argument("--format", choices=("csv", "json"), default="csv",
+                       help="output format (default csv)")
+        p.add_argument("--paper-rounding", action="store_true",
+                       help="render two decimals truncated toward zero")
+        p.add_argument("--out", type=Path, default=None, help="write output to a file")
+        return p
+
+    command("penta", _penta, "decompose every element into its five indexes")
+
+    for name, blurb in (("dist", "pairwise distances"), ("sim", "pairwise similarities")):
+        p = command(name, _distance, f"{blurb} within one set, or between two sets", "+")
+        p.add_argument("--kind", choices=_values(DistanceKind), default="pe")
+        p.add_argument("--agg", choices=_values(Aggregation), default="mean",
+                       help="aggregation for the two-set form (default mean)")
+
+    p = command("card", _card, "set and border cardinality")
+    p.add_argument("--kind", choices=_values(CardinalityKind), default="pe")
+
+    p = command("entropy", _entropy, "set entropy")
+    p.add_argument("--kind", choices=_values(EntropyKind), default="pe")
+    p.add_argument("--vector-norm", choices=_values(VectorNorm), default="max",
+                   help="scalar reduction for the vector entropy (default max)")
+
+    p = command("setop", _setop, "pointwise set operation", nargs=None)
+    p.add_argument("kind", choices=_values(SetOpKind))
+    p.add_argument("inputs", nargs="+", type=Path, metavar="INPUT")
+    p.add_argument("--tnorm", choices=sorted(NORM_PAIRS), default="minmax")
+
+    p = command("audit", _audit, "run the axiom audit for a named measure", nargs=None)
+    p.add_argument("--kind", required=True, choices=_values(*_FAMILIES.values()))
+    p.add_argument("--family", choices=sorted(_FAMILIES), default=None,
+                   help="the kind's family; required for pe, ph and pp, which are in both")
+    p.add_argument("--vector-norm", choices=_values(VectorNorm), default="max")
+    p.add_argument("--expect-paper", action="store_true",
+                   help="exit 1 when the audit disagrees with the published pass/fail pattern")
+
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "penta":
-            return _run_penta(args)
-        if args.command == "dist":
-            return _run_dist(args, similarity=False, parser=parser)
-        if args.command == "sim":
-            return _run_dist(args, similarity=True, parser=parser)
-        if args.command == "card":
-            return _run_card(args)
-        if args.command == "entropy":
-            return _run_entropy(args)
-        if args.command == "setop":
-            return _run_setop(args, parser)
-        if args.command == "audit":
-            return _run_audit(args, parser)
+        data = args.run(args)
     except PentafuzzError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError(f"unhandled command {args.command!r}")
+    if args.out is None:
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()
+    else:
+        try:
+            args.out.write_bytes(data)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
+    return args.status
 
 
 if __name__ == "__main__":

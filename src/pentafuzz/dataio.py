@@ -16,8 +16,8 @@ import csv
 import io
 import json
 import re
-from dataclasses import dataclass
-from decimal import ROUND_DOWN, ROUND_HALF_EVEN, Decimal
+from dataclasses import dataclass, fields
+from decimal import ROUND_DOWN, ROUND_HALF_EVEN, Context, Decimal
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import BinaryIO, NamedTuple, Sequence
@@ -56,12 +56,17 @@ def format_real(x: float, *, sig: int = 6, paper: bool = False) -> str:
     Default: `sig` significant digits, half-even.  Paper mode: exactly two
     decimals, truncated toward zero; binary noise is snapped at twelve
     decimals first so a stored 0.19999999999999996 truncates as 0.2, not
-    as 0.19.
+    as 0.19.  Both modes print nan as NaN and infinities as Infinity and
+    -Infinity.
     """
     d = Decimal(repr(float(x)))
+    if not d.is_finite():
+        return str(d)
     if paper:
-        snapped = d.quantize(Decimal("1e-12"), rounding=ROUND_HALF_EVEN)
-        return str(snapped.quantize(Decimal("0.01"), rounding=ROUND_DOWN))
+        # Wide enough for every integer digit plus the twelve snapped decimals.
+        exact = Context(prec=max(28, d.adjusted() + 14))
+        snapped = d.quantize(Decimal("1e-12"), rounding=ROUND_HALF_EVEN, context=exact)
+        return str(snapped.quantize(Decimal("0.01"), rounding=ROUND_DOWN, context=exact))
     if d == 0:
         return "0"
     q = d.quantize(Decimal(1).scaleb(d.adjusted() - sig + 1), rounding=ROUND_HALF_EVEN)
@@ -431,22 +436,13 @@ def _similarity_columns(similarity) -> list[_Column]:
 
 
 def _metadata_pairs(meta: ReportMetadata) -> list[tuple[str, object]]:
-    pairs: list[tuple[str, object]] = [
-        ("dataset", meta.dataset),
-        ("tool_version", meta.tool_version),
+    """The set fields in declaration order; None and () are unset, tuples join with commas."""
+    values = [(field.name, getattr(meta, field.name)) for field in fields(meta)]
+    return [
+        (name, ",".join(value) if isinstance(value, tuple) else value)
+        for name, value in values
+        if value is not None and value != ()
     ]
-    if meta.norm_pair is not None:
-        pairs.append(("norm_pair", meta.norm_pair))
-    if meta.distance_kind is not None:
-        pairs.append(("distance_kind", meta.distance_kind))
-    if meta.cardinality_kinds:
-        pairs.append(("cardinality_kinds", ",".join(meta.cardinality_kinds)))
-    if meta.entropy_kinds:
-        pairs.append(("entropy_kinds", ",".join(meta.entropy_kinds)))
-    if meta.aggregation is not None:
-        pairs.append(("aggregation", meta.aggregation))
-    pairs.append(("paper_rounding", meta.paper_rounding))
-    return pairs
 
 
 def write_report(report: MeasureReport, fmt: str) -> bytes:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -176,18 +177,25 @@ def cardinality_point(kind: CardinalityKind, x: BipolarValue) -> float:
     return float(_card_formula(kind, p.t, p.f, p.u, p.c))
 
 
+def _domain(kind: CardinalityKind | EntropyKind, t, f, u, c):
+    """Where the kind is defined, as a mask: the conditions the point functions test."""
+    if kind in _CLASSIC:
+        return c <= EPSILON
+    if kind is EntropyKind.SZMIDT_KACPRZYK_PI:
+        return 1.0 - u - c > EPSILON
+    return np.ones(np.shape(t), dtype=bool)
+
+
 def cardinality_array(kind: CardinalityKind, d: PentaArrays) -> np.ndarray:
     """cardinality_point at every entry of a decomposition, bit for bit.
 
     Raises what cardinality_point raises at the first entry outside the
     kind's domain.
     """
-    if kind in _CLASSIC:
-        # x.kappa is the index c
-        raise_first(
-            d.c > EPSILON,
-            lambda k: cardinality_point(kind, BipolarValue(float(d.mu[k]), float(d.nu[k]))),
-        )
+    raise_first(
+        ~_domain(kind, d.t, d.f, d.u, d.c),
+        lambda k: cardinality_point(kind, BipolarValue(float(d.mu[k]), float(d.nu[k]))),
+    )
     return _card_formula(kind, d.t, d.f, d.u, d.c, square=_libm_square)
 
 
@@ -243,11 +251,10 @@ def entropy_array(
     Raises what entropy_point raises at the first entry where the kind is
     undefined.
     """
-    if kind is EntropyKind.SZMIDT_KACPRZYK_PI:
-        raise_first(
-            1.0 - d.u - d.c <= EPSILON,
-            lambda k: entropy_point(kind, BipolarValue(float(d.mu[k]), float(d.nu[k]))),
-        )
+    raise_first(
+        ~_domain(kind, d.t, d.f, d.u, d.c),
+        lambda k: entropy_point(kind, BipolarValue(float(d.mu[k]), float(d.nu[k]))),
+    )
     return _entropy_formula(kind, d.t, d.f, d.u, d.c, vector_norm, square=_libm_square)
 
 
@@ -331,17 +338,10 @@ class _Measure:
 
 
 def _measure_for(kind, vector_norm: VectorNorm) -> _Measure:
+    dom = partial(_domain, kind)
     if isinstance(kind, CardinalityKind):
-        if kind in _CLASSIC:
-            dom = lambda t, f, u, c: c <= EPSILON
-        else:
-            dom = lambda t, f, u, c: np.ones(np.shape(t), dtype=bool)
         return _Measure(kind.value, "cardinality", lambda t, f, u, c: _card_formula(kind, t, f, u, c), dom)
     if isinstance(kind, EntropyKind):
-        if kind is EntropyKind.SZMIDT_KACPRZYK_PI:
-            dom = lambda t, f, u, c: (u + c) < 1.0 - 1e-12
-        else:
-            dom = lambda t, f, u, c: np.ones(np.shape(t), dtype=bool)
         label = kind.value
         if kind is EntropyKind.GRZEGORZEWSKI_MROWKA:
             label = f"gm-{vector_norm.value}"
@@ -452,7 +452,7 @@ def _slice_probe_result(
     return AxiomResult(axiom, True, checked, note=note)
 
 
-def _containment_result(measure: _Measure, axiom: str, mu, nu, rng) -> AxiomResult:
+def _containment_result(measure: _Measure, axiom: str, mu, nu, base, rng) -> AxiomResult:
     """Directed pairs in the containment order: mu grows, nu shrinks."""
     checked = 0
     steps = list(_GROWTH_STEPS)
@@ -465,7 +465,6 @@ def _containment_result(measure: _Measure, axiom: str, mu, nu, rng) -> AxiomResu
             a, b = step
         mu1 = mu + a * (1.0 - mu)
         nu1 = b * nu
-        base = penta_arrays(mu, nu)
         grown = penta_arrays(mu1, nu1)
         mask = measure.domain(*base) & measure.domain(*grown)
         if not mask.any():
@@ -572,7 +571,7 @@ def axiom_audit(
                 ((base, dual_t), (complement_t, negation_t)),
             ),
             _complement_bound_result(measure, "c4", mu, nu, base),
-            _containment_result(measure, "c5", mu, nu, rng),
+            _containment_result(measure, "c5", mu, nu, base, rng),
         ]
     else:
         results = [

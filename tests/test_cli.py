@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,7 +8,10 @@ from pathlib import Path
 import pytest
 
 import pentafuzz
-from pentafuzz.cli import main
+from pentafuzz.algebra import NORM_PAIRS, SetOpKind
+from pentafuzz.cli import _build_parser, main
+from pentafuzz.measures import CardinalityKind, EntropyKind, VectorNorm
+from pentafuzz.metrics import Aggregation, DistanceKind
 
 
 def write(tmp_path, name, text):
@@ -181,6 +185,20 @@ class TestAudit:
             main(["audit", "--kind", "pe"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "kind, family, owner", [("min", "entropy", "card"), ("sk", "card", "entropy")]
+    )
+    def test_family_must_agree_with_kind(self, kind, family, owner, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["audit", "--kind", kind, "--family", family])
+        assert err.value.code == 2
+        err_text = capsys.readouterr().err
+        assert f"pentafuzz: error: --kind {kind} is in the {owner} family, not {family}" in err_text
+
+    def test_family_agreeing_with_kind_is_accepted(self, capsysbinary):
+        assert main(["audit", "--kind", "min", "--family", "card"]) == 0
+        assert b"# kind=min\n# family=cardinality" in capsysbinary.readouterr().out
+
     def test_json_output(self, capsysbinary):
         assert main(["audit", "--kind", "med", "--format", "json"]) == 0
         doc = json.loads(capsysbinary.readouterr().out.decode())
@@ -212,6 +230,14 @@ class TestDiagnosticsAndDeterminism:
         with pytest.raises(SystemExit) as err:
             main(["penta", "--wat", str(p1_pair)])
         assert err.value.code == 2
+
+    def test_unwritable_out_is_a_validation_error(self, p1_pair, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.csv"
+        assert main(["penta", str(p1_pair), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out}: No such file or directory\n"
+        assert main(["penta", str(p1_pair), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: ")
 
     def test_byte_identical_output_for_same_argv(self, landmark_dataset_path, tmp_path):
         out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
@@ -277,3 +303,52 @@ class TestModuleEntryPoint:
         for argv, module_out, main_out in jobs:
             assert main(argv + ["--out", str(main_out)]) == 0
             assert module_out.read_bytes() == main_out.read_bytes(), argv
+
+    def test_reports_match_pinned_digests(self, landmark_dataset_path, tmp_path):
+        # SHA-256 of every COMMANDS form x format x rounding, keyed by the
+        # argv with {data} for the fixture path.
+        pinned = json.loads((landmark_dataset_path.parent / "cli_digests.json").read_text())
+        got = {}
+        for command in self.COMMANDS:
+            for fmt in ("csv", "json"):
+                for paper in ([], ["--paper-rounding"]):
+                    key = " ".join([*command, "--format", fmt, *paper])
+                    argv = [a.format(data=landmark_dataset_path) for a in command]
+                    out = tmp_path / "report"
+                    assert main([*argv, "--format", fmt, *paper, "--out", str(out)]) == 0
+                    got[key] = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert got == pinned
+
+
+class TestChoices:
+    """Each subcommand's choices are the values of the enum or registry behind them."""
+
+    EXPECTED = {
+        ("dist", "kind"): DistanceKind,
+        ("dist", "agg"): Aggregation,
+        ("sim", "kind"): DistanceKind,
+        ("sim", "agg"): Aggregation,
+        ("card", "kind"): CardinalityKind,
+        ("entropy", "kind"): EntropyKind,
+        ("entropy", "vector_norm"): VectorNorm,
+        ("setop", "kind"): SetOpKind,
+        ("setop", "tnorm"): NORM_PAIRS,
+        ("audit", "kind"): [*CardinalityKind, *EntropyKind],
+        ("audit", "vector_norm"): VectorNorm,
+        ("audit", "family"): ["card", "entropy"],
+    }
+
+    def test_choices_equal_the_enums(self):
+        (sub,) = [a for a in _build_parser()._actions if a.dest == "command"]
+        assert set(sub.choices) == {"penta", "dist", "sim", "card", "entropy", "setop", "audit"}
+        got = {}
+        for name, command in sub.choices.items():
+            for action in command._actions:
+                if action.dest == "format":
+                    assert set(action.choices) == {"csv", "json"}
+                elif action.choices is not None:
+                    got[(name, action.dest)] = set(action.choices)
+        expected = {
+            key: {getattr(v, "value", v) for v in values} for key, values in self.EXPECTED.items()
+        }
+        assert got == expected

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -31,6 +32,8 @@ from pentafuzz import (
     matches_paper_pattern,
     negation,
 )
+from pentafuzz.kernel import penta_arrays
+from pentafuzz.measures import _measure_for
 from helpers import bipolar_values, fuzzy_values, unit_floats
 
 SIMILARITY_DERIVED = {
@@ -361,6 +364,23 @@ class TestAxiomAudit:
         e5 = report.result("e5")
         assert e5.passed and e5.checked == 0
         assert "vacuously" in (e5.note or "")
+
+    @pytest.mark.parametrize("kind", [*CardinalityKind, *EntropyKind])
+    @pytest.mark.parametrize(
+        "mu, nu",
+        [(1e-10, 1e-10), (1 - 1e-10, 1 - 1e-10), (0.5 + 1e-10, 0.5 + 1e-10), (0.6, 0.6), (0.0, 0.0)],
+    )
+    def test_audit_domain_is_where_the_point_function_is_defined(self, kind, mu, nu):
+        # Near u + c = 1, skpi is undefined for entropy_point; the audit
+        # must not evaluate it there either.
+        domain = _measure_for(kind, VectorNorm.MAX).domain
+        point = cardinality_point if isinstance(kind, CardinalityKind) else entropy_point
+        try:
+            point(kind, BipolarValue(mu, nu))
+            defined = True
+        except (UndefinedValueError, ValidationError):
+            defined = False
+        assert bool(domain(*penta_arrays(np.array([mu]), np.array([nu])))[0]) is defined
 
     def test_report_is_deterministic(self):
         a = axiom_audit(EntropyKind.FROM_PE, **AUDIT_ARGS)
