@@ -104,13 +104,16 @@ def _distance(args) -> bytes:
     if len(args.inputs) > 2:
         args.usage_error("dist/sim take one input (pairwise matrix) or two (set distance)")
     if len(args.inputs) == 1:
+        if args.agg is not None:
+            args.usage_error("--agg applies to the two-set form only")
         dataset = _load(args.inputs[0])
         rows = _element_rows(dataset)
         matrix = pairwise_matrix(kind, dataset, similarity=similarity)
         return _report(args, rows, similarity=matrix, distance_kind=args.kind)
-    d = set_distance(kind, *map(_load, args.inputs), Aggregation(args.agg))
+    agg = args.agg or Aggregation.MEAN.value
+    d = set_distance(kind, *map(_load, args.inputs), Aggregation(agg))
     aggregate = ("set_similarity", 1.0 - d) if similarity else ("set_distance", d)
-    return _report(args, aggregates=(aggregate,), distance_kind=args.kind, aggregation=args.agg)
+    return _report(args, aggregates=(aggregate,), distance_kind=args.kind, aggregation=agg)
 
 
 def _card(args) -> bytes:
@@ -184,8 +187,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, blurb in (("dist", "pairwise distances"), ("sim", "pairwise similarities")):
         p = command(name, _distance, f"{blurb} within one set, or between two sets", "+")
         p.add_argument("--kind", choices=_values(DistanceKind), default="pe")
-        p.add_argument("--agg", choices=_values(Aggregation), default="mean",
-                       help="aggregation for the two-set form (default mean)")
+        p.add_argument("--agg", choices=_values(Aggregation), default=None,
+                       help="aggregation for the two-set form only (default mean)")
 
     p = command("card", _card, "set and border cardinality")
     p.add_argument("--kind", choices=_values(CardinalityKind), default="pe")

@@ -16,7 +16,7 @@ package documents which measures violate which axioms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 from typing import Callable
@@ -91,27 +91,14 @@ class EntropyResult:
 
 # ---------------------------------------------------------------------------
 # Closed forms.  Each accepts floats or numpy arrays of (t, f, u, c).
-#
-# ``square`` is how the pe forms square.  On a float, x ** 2 calls the C
-# library's pow, which differs from x * x in the last bit for about one
-# value in a thousand; on an array, x ** 2 is x * x.  The array path of
-# the set measures passes _libm_square so its entries equal the pointwise
-# values bit for bit; the audit keeps x * x.
 # ---------------------------------------------------------------------------
 
 
-def _square(x):
-    return x ** 2
-
-
-def _libm_square(x):
-    # np.float_power calls the C library's pow, as float ** 2 does.
-    return np.float_power(x, 2.0)
-
-
-def _card_formula(kind: CardinalityKind, t, f, u, c, square=_square):
+def _card_formula(kind: CardinalityKind, t, f, u, c):
     if kind is CardinalityKind.FROM_PE:
-        return 1.0 - np.sqrt(square((1.0 - t + f) / 2.0) + square((u - c) / (1.0 + u + c)))
+        a = (1.0 - t + f) / 2.0
+        b = (u - c) / (1.0 + u + c)
+        return 1.0 - np.sqrt(a * a + b * b)
     if kind is CardinalityKind.FROM_PH:
         return (1.0 + t - f) / (2.0 + u + c)
     if kind is CardinalityKind.FROM_PP:
@@ -132,10 +119,11 @@ def _entropy_formula(
     u,
     c,
     vector_norm: VectorNorm = VectorNorm.MAX,
-    square=_square,
 ):
     if kind is EntropyKind.FROM_PE:
-        return np.sqrt(square(1.0 - t - f) + square(2.0 * (u - c) / (1.0 + u + c)))
+        a = 1.0 - t - f
+        b = 2.0 * (u - c) / (1.0 + u + c)
+        return np.sqrt(a * a + b * b)
     if kind is EntropyKind.FROM_PH:
         return 2.0 * (1.0 - t - f + u + c) / (2.0 + c + u)
     if kind is EntropyKind.FROM_PP:
@@ -196,7 +184,7 @@ def cardinality_array(kind: CardinalityKind, d: PentaArrays) -> np.ndarray:
         ~_domain(kind, d.t, d.f, d.u, d.c),
         lambda k: cardinality_point(kind, BipolarValue(float(d.mu[k]), float(d.nu[k]))),
     )
-    return _card_formula(kind, d.t, d.f, d.u, d.c, square=_libm_square)
+    return _card_formula(kind, d.t, d.f, d.u, d.c)
 
 
 def _sum(values: np.ndarray) -> float:
@@ -255,7 +243,7 @@ def entropy_array(
         ~_domain(kind, d.t, d.f, d.u, d.c),
         lambda k: entropy_point(kind, BipolarValue(float(d.mu[k]), float(d.nu[k]))),
     )
-    return _entropy_formula(kind, d.t, d.f, d.u, d.c, vector_norm, square=_libm_square)
+    return _entropy_formula(kind, d.t, d.f, d.u, d.c, vector_norm)
 
 
 def entropy_set(
@@ -303,14 +291,7 @@ class AuditReport:
         return tuple(r.axiom for r in self.results if not r.passed)
 
 
-# Landmark decompositions as (t, f, u, c).
-_LM = {
-    "T": (1.0, 0.0, 0.0, 0.0),
-    "F": (0.0, 1.0, 0.0, 0.0),
-    "U": (0.0, 0.0, 1.0, 0.0),
-    "C": (0.0, 0.0, 0.0, 1.0),
-    "I": (0.0, 0.0, 0.0, 0.0),
-}
+# Landmark degrees (mu, nu), in the order the audit samples them.
 _LM_MU_NU = {"T": (1.0, 0.0), "F": (0.0, 1.0), "U": (0.0, 0.0), "C": (1.0, 1.0), "I": (0.5, 0.5)}
 
 # Deterministic growth steps (alpha, beta) for containment probes; the
@@ -354,55 +335,46 @@ def _measure_for(kind, vector_norm: VectorNorm) -> _Measure:
     raise ValidationError(f"unknown audit kind {kind!r}")
 
 
-def _landmark_result(measure: _Measure, axiom: str, expectations) -> AxiomResult:
-    witness = None
-    for name, expected in expectations:
-        t, f, u, c = _LM[name]
-        got = float(measure.evaluate(np.float64(t), np.float64(f), np.float64(u), np.float64(c)))
-        if abs(got - expected) > EPSILON:
-            mu, nu = _LM_MU_NU[name]
-            witness = f"{name}=(mu={mu}, nu={nu}): value {got:.9g}, expected {expected:.9g}"
-            break
-    return AxiomResult(axiom, witness is None, len(expectations), witness)
+def _evaluated(measure: _Measure, tfuc) -> tuple[np.ndarray, np.ndarray]:
+    """The measure at every entry of an index tuple, with its domain mask."""
+    return measure.evaluate(*tfuc), measure.domain(*tfuc)
 
 
-def _transform_result(
-    measure: _Measure,
-    axiom: str,
-    mu,
-    nu,
-    base,
-    comparisons,
-) -> AxiomResult:
-    """Equality of the measure across pairs of index transforms."""
-    t, f, u, c = base
+def _first_failure(axiom: str, trials) -> AxiomResult:
+    """Check (mask, ok, witness) trials in order, up to the first failure.
+
+    A trial checks the entries in its mask and fails at the first of them
+    where ok is false; witness(k) describes that entry k.  checked counts
+    the masked entries of every trial run.
+    """
     checked = 0
-    for lhs_tfuc, rhs_tfuc in comparisons:
-        mask = measure.domain(*lhs_tfuc) & measure.domain(*rhs_tfuc)
-        if not mask.any():
-            continue
-        lhs = measure.evaluate(*(a[mask] for a in lhs_tfuc))
-        rhs = measure.evaluate(*(a[mask] for a in rhs_tfuc))
-        ok = _mixed_close(lhs, rhs)
-        checked += int(mask.sum())
-        if not ok.all():
-            k = int(np.argmin(ok))
-            kk = np.flatnonzero(mask)[k]
-            return AxiomResult(
-                axiom,
-                False,
-                checked,
-                f"(mu={mu[kk]:.9g}, nu={nu[kk]:.9g}): {lhs[k]:.9g} != {rhs[k]:.9g}",
-            )
+    for mask, ok, witness in trials:
+        checked += int(np.count_nonzero(mask))
+        bad = mask & ~ok
+        if bad.any():
+            return AxiomResult(axiom, False, checked, witness(int(np.argmax(bad))))
     return AxiomResult(axiom, True, checked)
 
 
-def _slice_probe_result(
-    measure: _Measure,
-    axiom: str,
-    base,
-    directions: dict[str, str],
-) -> AxiomResult:
+def _landmark_result(axiom: str, landmarks, expectations) -> AxiomResult:
+    for name, expected in expectations:
+        got = landmarks[name][0]
+        if abs(got - expected) > EPSILON:
+            mu, nu = _LM_MU_NU[name]
+            witness = f"{name}=(mu={mu}, nu={nu}): value {got:.9g}, expected {expected:.9g}"
+            return AxiomResult(axiom, False, len(expectations), witness)
+    return AxiomResult(axiom, True, len(expectations))
+
+
+def _equal(mu, nu, lhs, rhs):
+    """Trial: equal values on two index tuples, where both are in the domain."""
+    (a, a_in), (b, b_in) = lhs, rhs
+    return a_in & b_in, _mixed_close(a, b), lambda k: (
+        f"(mu={mu[k]:.9g}, nu={nu[k]:.9g}): {a[k]:.9g} != {b[k]:.9g}"
+    )
+
+
+def _slice_probe_result(measure: _Measure, axiom: str, base, on_base, directions) -> AxiomResult:
     """Directed perturbations along each single-index slice.
 
     A probe raises one index by part of the ambiguity budget while its
@@ -412,112 +384,79 @@ def _slice_probe_result(
     """
     t, f, u, c = base
     i = 1.0 - t - f - u - c
+    lo, lo_in = on_base
     partners = {"t": f, "f": t, "u": c, "c": u}
-    arrays = {"t": t, "f": f, "u": u, "c": c}
-    checked = 0
     empty_slices = []
-    for comp, direction in directions.items():
-        partner = partners[comp]
-        elig = (partner == 0.0) & (i > 1e-12) & measure.domain(t, f, u, c)
-        comp_checked = 0
-        for frac in (0.5, 1.0):
-            delta = frac * i[elig]
-            cols = {name: arr[elig].copy() for name, arr in arrays.items()}
-            cols[comp] = cols[comp] + delta
-            boosted = (cols["t"], cols["f"], cols["u"], cols["c"])
-            ok_domain = measure.domain(*boosted)
-            if not ok_domain.any():
-                continue
-            sel = lambda a: a[ok_domain]
-            lo = measure.evaluate(*(arrays[n][elig][ok_domain] for n in ("t", "f", "u", "c")))
-            hi = measure.evaluate(*(sel(col) for col in boosted))
-            good = _mixed_le(lo, hi) if direction == "up" else _mixed_le(hi, lo)
-            comp_checked += int(ok_domain.sum())
-            if not good.all():
-                k = int(np.argmin(good))
-                base_vals = tuple(float(arrays[n][elig][ok_domain][k]) for n in ("t", "f", "u", "c"))
-                return AxiomResult(
-                    axiom,
-                    False,
-                    checked + comp_checked,
-                    f"slice {comp}: base (t,f,u,c)={base_vals} + delta {float(sel(delta)[k]):.9g} "
-                    f"moved value from {float(lo[k]):.9g} to {float(hi[k]):.9g}",
-                )
-        if comp_checked == 0:
-            empty_slices.append(comp)
-        checked += comp_checked
-    note = None
-    if empty_slices:
+
+    def trials():
+        # One slice at a time: each probe holds arrays the size of the sample.
+        for comp, direction in directions.items():
+            elig = (partners[comp] == 0.0) & (i > 1e-12) & lo_in
+            probes = [
+                _probe(measure, base, lo, comp, direction, elig, frac * i) for frac in (0.5, 1.0)
+            ]
+            if not any(mask.any() for mask, _, _ in probes):
+                empty_slices.append(comp)
+            yield from probes
+
+    result = _first_failure(axiom, trials())
+    if result.passed and empty_slices:
         note = f"no admissible probes in slice(s) {','.join(empty_slices)} on this domain"
-    return AxiomResult(axiom, True, checked, note=note)
+        return replace(result, note=note)
+    return result
 
 
-def _containment_result(measure: _Measure, axiom: str, mu, nu, base, rng) -> AxiomResult:
-    """Directed pairs in the containment order: mu grows, nu shrinks."""
-    checked = 0
-    steps = list(_GROWTH_STEPS)
-    alphas = rng.random(mu.shape[0])
-    betas = rng.random(mu.shape[0])
-    for step in steps + [None]:
-        if step is None:
-            a, b = alphas, betas
-        else:
-            a, b = step
-        mu1 = mu + a * (1.0 - mu)
-        nu1 = b * nu
-        grown = penta_arrays(mu1, nu1)
-        mask = measure.domain(*base) & measure.domain(*grown)
-        if not mask.any():
-            continue
-        small = measure.evaluate(*(x[mask] for x in base))
-        large = measure.evaluate(*(x[mask] for x in grown))
-        ok = _mixed_le(small, large)
-        checked += int(mask.sum())
-        if not ok.all():
-            k = int(np.argmin(ok))
-            kk = np.flatnonzero(mask)[k]
-            return AxiomResult(
-                axiom,
-                False,
-                checked,
-                f"(mu={mu1[kk]:.9g}, nu={nu1[kk]:.9g}) contains (mu={mu[kk]:.9g}, nu={nu[kk]:.9g}) "
-                f"but value dropped from {small[k]:.9g} to {large[k]:.9g}",
-            )
-    return AxiomResult(axiom, True, checked)
+def _probe(measure: _Measure, base, lo, comp: str, direction: str, elig, delta):
+    """Trial: index comp raised by delta at the eligible entries."""
+    hi, hi_in = _evaluated(measure, [x + delta if n == comp else x for n, x in zip("tfuc", base)])
+    ok = _mixed_le(lo, hi) if direction == "up" else _mixed_le(hi, lo)
 
-
-def _complement_bound_result(measure: _Measure, axiom: str, mu, nu, base) -> AxiomResult:
-    t, f, u, c = base
-    comp = (f, t, u, c)
-    mask = measure.domain(t, f, u, c) & measure.domain(*comp)
-    total = measure.evaluate(*(x[mask] for x in base)) + measure.evaluate(*(x[mask] for x in comp))
-    ok = total <= 1.0 + EPSILON
-    if not ok.all():
-        k = int(np.argmin(ok))
-        kk = np.flatnonzero(mask)[k]
-        return AxiomResult(
-            axiom,
-            False,
-            int(mask.sum()),
-            f"(mu={mu[kk]:.9g}, nu={nu[kk]:.9g}): value + complement value = {total[k]:.9g} > 1",
+    def witness(k: int) -> str:
+        start = tuple(float(x[k]) for x in base)
+        return (
+            f"slice {comp}: base (t,f,u,c)={start} + delta {float(delta[k]):.9g} "
+            f"moved value from {float(lo[k]):.9g} to {float(hi[k]):.9g}"
         )
-    return AxiomResult(axiom, True, int(mask.sum()))
+
+    return elig & hi_in, ok, witness
 
 
-def _neutral_landmark_result(measure: _Measure, axiom: str) -> AxiomResult:
+def _containment_trials(measure: _Measure, mu, nu, on_base, rng):
+    """Directed pairs in the containment order: mu grows, nu shrinks."""
+    alphas, betas = rng.random(mu.shape[0]), rng.random(mu.shape[0])
+    for a, b in (*_GROWTH_STEPS, (alphas, betas)):
+        yield _grown(measure, mu, nu, on_base, mu + a * (1.0 - mu), b * nu)
+
+
+def _grown(measure: _Measure, mu, nu, on_base, mu1, nu1):
+    """Trial: the value does not drop from (mu, nu) to the larger (mu1, nu1)."""
+    small, small_in = on_base
+    large, large_in = _evaluated(measure, penta_arrays(mu1, nu1))
+    return small_in & large_in, _mixed_le(small, large), lambda k: (
+        f"(mu={mu1[k]:.9g}, nu={nu1[k]:.9g}) contains (mu={mu[k]:.9g}, nu={nu[k]:.9g}) "
+        f"but value dropped from {small[k]:.9g} to {large[k]:.9g}"
+    )
+
+
+def _complement_bound(mu, nu, on_base, on_comp):
+    """Trial: value plus complement value is at most 1."""
+    (v, v_in), (w, w_in) = on_base, on_comp
+    total = v + w
+    return v_in & w_in, total <= 1.0 + EPSILON, lambda k: (
+        f"(mu={mu[k]:.9g}, nu={nu[k]:.9g}): value + complement value = {total[k]:.9g} > 1"
+    )
+
+
+def _neutral_landmark_result(axiom: str, landmarks) -> AxiomResult:
     """e5: equal entropy at the unknown and contradictory landmarks, at least e(I)."""
-    dom_u = bool(measure.domain(*(np.float64(v) for v in _LM["U"])))
-    dom_c = bool(measure.domain(*(np.float64(v) for v in _LM["C"])))
-    if not (dom_u and dom_c):
+    (e_u, in_u), (e_c, in_c), (e_i, _) = landmarks["U"], landmarks["C"], landmarks["I"]
+    if not (in_u and in_c):
         return AxiomResult(
             axiom,
             True,
             0,
             note="U and C lie outside this measure's domain; condition holds vacuously there",
         )
-    e_u = float(measure.evaluate(*(np.float64(v) for v in _LM["U"])))
-    e_c = float(measure.evaluate(*(np.float64(v) for v in _LM["C"])))
-    e_i = float(measure.evaluate(*(np.float64(v) for v in _LM["I"])))
     if abs(e_u - e_c) > EPSILON:
         return AxiomResult(axiom, False, 3, f"value {e_u:.9g} at U differs from {e_c:.9g} at C")
     if e_u < e_i - EPSILON:
@@ -525,14 +464,12 @@ def _neutral_landmark_result(measure: _Measure, axiom: str) -> AxiomResult:
     return AxiomResult(axiom, True, 3)
 
 
-def _audit_samples(grid_step: float, n_random: int, seed: int):
+def _audit_samples(lm_mu, lm_nu, grid_step: float, n_random: int, seed: int):
     side = np.linspace(0.0, 1.0, round(1.0 / grid_step) + 1)
     gm, gn = np.meshgrid(side, side)
-    lm = np.array([v[0] for v in _LM_MU_NU.values()])
-    ln = np.array([v[1] for v in _LM_MU_NU.values()])
     rng = np.random.default_rng(seed)
-    mu = np.concatenate([gm.ravel(), lm, rng.random(n_random)])
-    nu = np.concatenate([gn.ravel(), ln, rng.random(n_random)])
+    mu = np.concatenate([gm.ravel(), lm_mu, rng.random(n_random)])
+    nu = np.concatenate([gn.ravel(), lm_nu, rng.random(n_random)])
     return mu, nu, rng
 
 
@@ -552,41 +489,45 @@ def axiom_audit(
     Measures with a restricted domain are audited on that domain only.
     """
     measure = _measure_for(kind, vector_norm)
-    mu, nu, rng = _audit_samples(grid_step, n_random, seed)
-    t, f, u, c = penta_arrays(mu, nu)
-    base = (t, f, u, c)
-    complement_t = (f, t, u, c)
-    dual_t = (t, f, c, u)
-    negation_t = (f, t, c, u)
-
-    results: list[AxiomResult]
-    if measure.family == "cardinality":
-        results = [
-            _landmark_result(measure, "c1", (("T", 1.0), ("F", 0.0), ("I", 0.5))),
-            _slice_probe_result(
-                measure, "c2", base, {"t": "up", "f": "down", "u": "down", "c": "down"}
-            ),
-            _transform_result(
-                measure, "c3", mu, nu, base,
-                ((base, dual_t), (complement_t, negation_t)),
-            ),
-            _complement_bound_result(measure, "c4", mu, nu, base),
-            _containment_result(measure, "c5", mu, nu, base, rng),
-        ]
-    else:
-        results = [
-            _landmark_result(measure, "e1", (("T", 0.0), ("F", 0.0))),
-            _landmark_result(measure, "e2", (("I", 1.0),)),
-            _slice_probe_result(
-                measure, "e3", base, {"t": "down", "f": "down", "u": "up", "c": "up"}
-            ),
-            _transform_result(
-                measure, "e4", mu, nu, base,
-                ((base, complement_t), (base, dual_t), (base, negation_t)),
-            ),
-            _neutral_landmark_result(measure, "e5"),
-        ]
-    return AuditReport(measure.label, measure.family, tuple(results))
+    lm_mu, lm_nu = np.array(list(_LM_MU_NU.values())).T
+    mu, nu, rng = _audit_samples(lm_mu, lm_nu, grid_step, n_random, seed)
+    base = penta_arrays(mu, nu)
+    t, f, u, c = base
+    # Each index tuple is evaluated once over the whole sample, as a
+    # (values, domain mask) pair.  Entries outside the domain (skpi divides
+    # by zero at u + c = 1) are computed too, but no verdict reads them.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lm_values, lm_in = _evaluated(measure, penta_arrays(lm_mu, lm_nu))
+        landmarks = dict(zip(_LM_MU_NU, zip(lm_values.tolist(), lm_in.tolist())))
+        on_base = _evaluated(measure, base)
+        on_comp, on_dual, on_neg = (
+            _evaluated(measure, x) for x in ((f, t, u, c), (t, f, c, u), (f, t, c, u))
+        )
+        if measure.family == "cardinality":
+            results = (
+                _landmark_result("c1", landmarks, (("T", 1.0), ("F", 0.0), ("I", 0.5))),
+                _slice_probe_result(
+                    measure, "c2", base, on_base, {"t": "up", "f": "down", "u": "down", "c": "down"}
+                ),
+                _first_failure(
+                    "c3", [_equal(mu, nu, on_base, on_dual), _equal(mu, nu, on_comp, on_neg)]
+                ),
+                _first_failure("c4", [_complement_bound(mu, nu, on_base, on_comp)]),
+                _first_failure("c5", _containment_trials(measure, mu, nu, on_base, rng)),
+            )
+        else:
+            results = (
+                _landmark_result("e1", landmarks, (("T", 0.0), ("F", 0.0))),
+                _landmark_result("e2", landmarks, (("I", 1.0),)),
+                _slice_probe_result(
+                    measure, "e3", base, on_base, {"t": "down", "f": "down", "u": "up", "c": "up"}
+                ),
+                _first_failure(
+                    "e4", [_equal(mu, nu, on_base, x) for x in (on_comp, on_dual, on_neg)]
+                ),
+                _neutral_landmark_result("e5", landmarks),
+            )
+    return AuditReport(measure.label, measure.family, results)
 
 
 # Pass/fail pattern published with these measures: used by the audit CLI's

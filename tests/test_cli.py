@@ -68,6 +68,20 @@ class TestSimAndDist:
         out = capsysbinary.readouterr().out.decode()
         assert "set_similarity,0.700000" in out
 
+    @pytest.mark.parametrize("command", ["dist", "sim"])
+    def test_agg_with_one_input_is_usage_error(self, p1_pair, command, capsys):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--agg", "max", str(p1_pair)])
+        assert err.value.code == 2
+        assert "--agg applies to the two-set form only" in capsys.readouterr().err
+
+    def test_two_set_aggregation_defaults_to_mean(self, p1_pair, tmp_path):
+        default, mean = tmp_path / "default.csv", tmp_path / "mean.csv"
+        assert main(["sim", str(p1_pair), str(p1_pair), "--out", str(default)]) == 0
+        assert main(["sim", "--agg", "mean", str(p1_pair), str(p1_pair), "--out", str(mean)]) == 0
+        assert default.read_bytes() == mean.read_bytes()
+        assert b"aggregation=mean" in default.read_bytes()
+
     def test_three_inputs_is_usage_error(self, p1_pair):
         with pytest.raises(SystemExit) as err:
             main(["sim", str(p1_pair), str(p1_pair), str(p1_pair)])

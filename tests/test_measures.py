@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,8 +35,9 @@ from pentafuzz import (
     matches_paper_pattern,
     negation,
 )
-from pentafuzz.kernel import penta_arrays
-from pentafuzz.measures import _measure_for
+from pentafuzz.dataio import write_audit
+from pentafuzz.kernel import decompose, penta_arrays
+from pentafuzz.measures import _measure_for, cardinality_array, entropy_array
 from helpers import bipolar_values, fuzzy_values, unit_floats
 
 SIMILARITY_DERIVED = {
@@ -106,6 +110,21 @@ class TestCardinalityPoint:
     def test_classic_kinds_reject_paraconsistent_input(self, kind):
         with pytest.raises(ValidationError):
             cardinality_point(kind, BipolarValue(0.8, 0.6))
+
+    def test_pe_squares_are_correctly_rounded(self):
+        # At (0.954, 0.405) the C library's pow(x, 2.0) is one ulp off x * x,
+        # which moved both pe values by one ulp.  The point, array and audit
+        # routes all square as x * x.
+        x = BipolarValue(0.954, 0.405)
+        d = decompose(np.array([x.mu]), np.array([x.nu]))
+        card, ent = CardinalityKind.FROM_PE, EntropyKind.FROM_PE
+        for kind, point, array, expected in (
+            (card, cardinality_point(card, x), cardinality_array(card, d), "0x1.4e2bac1acc1b5p-1"),
+            (ent, entropy_point(ent, x).scalar, entropy_array(ent, d), "0x1.63a8a7ca67c96p-1"),
+        ):
+            audit = _measure_for(kind, VectorNorm.MAX).evaluate(d.t, d.f, d.u, d.c)
+            assert point == float.fromhex(expected)
+            assert array.tolist() == audit.tolist() == [point]
 
 
 class TestCardinalitySet:
@@ -386,6 +405,21 @@ class TestAxiomAudit:
         a = axiom_audit(EntropyKind.FROM_PE, **AUDIT_ARGS)
         b = axiom_audit(EntropyKind.FROM_PE, **AUDIT_ARGS)
         assert a == b
+
+    def test_reports_match_pinned_digests(self):
+        # SHA-256 of write_audit for every kind (gm under both norms) at the
+        # default sample, seeds 0 and 1, keyed "family kind seed=S format".
+        pinned = json.loads((Path(__file__).parent / "data" / "audit_digests.json").read_text())
+        got = {}
+        for kind in (*CardinalityKind, *EntropyKind):
+            norms = VectorNorm if kind is EntropyKind.GRZEGORZEWSKI_MROWKA else [VectorNorm.MAX]
+            for norm in norms:
+                for seed in (0, 1):
+                    report = axiom_audit(kind, vector_norm=norm, seed=seed)
+                    for fmt in ("csv", "json"):
+                        key = f"{report.family} {report.kind} seed={seed} {fmt}"
+                        got[key] = hashlib.sha256(write_audit(report, fmt)).hexdigest()
+        assert got == pinned
 
 
 class TestScalarAxiomSpotChecks:
