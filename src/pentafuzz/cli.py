@@ -11,16 +11,17 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .algebra import NORM_PAIRS, BipolarFuzzySet, SetOpKind, set_op
 from .dataio import (
-    ElementRow,
-    MeasureReport,
     ReportMetadata,
+    _element_table,
+    _write_report,
     read_dataset,
     write_audit,
     write_dataset,
-    write_report,
 )
 from .errors import DatasetError, PentafuzzError
 from .kernel import classify_arrays, decompose
@@ -36,7 +37,7 @@ from .measures import (
     entropy_set,
     matches_paper_pattern,
 )
-from .metrics import Aggregation, DistanceKind, pairwise_matrix, set_distance
+from .metrics import Aggregation, DistanceKind, _pairwise, set_distance
 
 # The audit's measure families, by their --family name.
 _FAMILIES = {"card": CardinalityKind, "entropy": EntropyKind}
@@ -55,35 +56,21 @@ def _load(path: Path) -> BipolarFuzzySet:
         raise DatasetError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-def _element_rows(
-    dataset: BipolarFuzzySet,
-    card_kinds: tuple[CardinalityKind, ...] = (),
-    entropy_kinds: tuple[EntropyKind, ...] = (),
-    vector_norm: VectorNorm = VectorNorm.MAX,
-) -> tuple[ElementRow, ...]:
-    """One report row per element, in universe order, computed column-wise.
+def _element_columns(dataset, card_kinds=(), entropy_kinds=(), vector_norm=VectorNorm.MAX):
+    """The element table's columns in universe order: ids, the decomposition,
+    classes, and a measure array per cardinality kind, then per entropy kind.
 
     A measure undefined at some element raises the pointwise error of the
     first such element; with several kinds, the first kind's is raised.
     """
     d = decompose(*dataset.arrays())
-    n = len(dataset)
-    cards = [cardinality_array(k, d).tolist() for k in card_kinds]
-    ents = [entropy_array(k, d, vector_norm).tolist() for k in entropy_kinds]
+    measures = [cardinality_array(k, d) for k in card_kinds]
+    measures += [entropy_array(k, d, vector_norm) for k in entropy_kinds]
     classes = [c.value for c in classify_arrays(d.mu, d.nu)]
-    return tuple(
-        ElementRow(eid, mu, nu, t, f, u, c, i, tau, omega, cls, card, ent)
-        for eid, mu, nu, t, f, u, c, i, tau, omega, cls, card, ent in zip(
-            dataset.universe,
-            *(col.tolist() for col in d),
-            classes,
-            zip(*cards) if cards else [()] * n,
-            zip(*ents) if ents else [()] * n,
-        )
-    )
+    return dataset.universe, d, classes, measures
 
 
-def _report(args, elements=(), aggregates=(), similarity=None, **metadata) -> bytes:
+def _report(args, elements=(), aggregates=(), pairs=None, **metadata) -> bytes:
     """A measure report on the inputs, named after their stems, in the chosen format."""
     meta = ReportMetadata(
         dataset="|".join(path.stem for path in args.inputs),
@@ -91,11 +78,11 @@ def _report(args, elements=(), aggregates=(), similarity=None, **metadata) -> by
         paper_rounding=args.paper_rounding,
         **metadata,
     )
-    return write_report(MeasureReport(meta, elements, aggregates, similarity), args.format)
+    return _write_report(meta, _element_table(meta, *elements), aggregates, pairs, args.format)
 
 
 def _penta(args) -> bytes:
-    return _report(args, _element_rows(_load(args.inputs[0])))
+    return _report(args, _element_columns(_load(args.inputs[0])))
 
 
 def _distance(args) -> bytes:
@@ -107,9 +94,10 @@ def _distance(args) -> bytes:
         if args.agg is not None:
             args.usage_error("--agg applies to the two-set form only")
         dataset = _load(args.inputs[0])
-        rows = _element_rows(dataset)
-        matrix = pairwise_matrix(kind, dataset, similarity=similarity)
-        return _report(args, rows, similarity=matrix, distance_kind=args.kind)
+        j, k, values = _pairwise(kind, dataset, similarity)
+        ids = np.array(dataset.universe, dtype=object)
+        pairs = (ids[j].tolist(), ids[k].tolist(), values)
+        return _report(args, _element_columns(dataset), pairs=pairs, distance_kind=args.kind)
     agg = args.agg or Aggregation.MEAN.value
     d = set_distance(kind, *map(_load, args.inputs), Aggregation(agg))
     aggregate = ("set_similarity", 1.0 - d) if similarity else ("set_distance", d)
@@ -119,20 +107,27 @@ def _distance(args) -> bytes:
 def _card(args) -> bytes:
     kind = CardinalityKind(args.kind)
     dataset = _load(args.inputs[0])
-    rows = _element_rows(dataset, card_kinds=(kind,))
+    elements = _element_columns(dataset, card_kinds=(kind,))
     aggregates = (
         ("set_cardinality", cardinality_set(kind, dataset)),
         ("border_cardinality", border_cardinality(kind, dataset)),
     )
-    return _report(args, rows, aggregates, cardinality_kinds=(args.kind,))
+    return _report(args, elements, aggregates, cardinality_kinds=(args.kind,))
+
+
+def _vector_norm(args) -> VectorNorm:
+    """--vector-norm, which only the vector entropy gm reads; max by default."""
+    if args.vector_norm is not None and args.kind != EntropyKind.GRZEGORZEWSKI_MROWKA.value:
+        args.usage_error("--vector-norm applies to --kind gm only")
+    return VectorNorm(args.vector_norm or VectorNorm.MAX.value)
 
 
 def _entropy(args) -> bytes:
-    kind, norm = EntropyKind(args.kind), VectorNorm(args.vector_norm)
+    kind, norm = EntropyKind(args.kind), _vector_norm(args)
     dataset = _load(args.inputs[0])
-    rows = _element_rows(dataset, entropy_kinds=(kind,), vector_norm=norm)
+    elements = _element_columns(dataset, entropy_kinds=(kind,), vector_norm=norm)
     aggregates = (("set_entropy", entropy_set(kind, dataset, norm)),)
-    return _report(args, rows, aggregates, entropy_kinds=(args.kind,))
+    return _report(args, elements, aggregates, entropy_kinds=(args.kind,))
 
 
 def _setop(args) -> bytes:
@@ -151,7 +146,7 @@ def _audit(args) -> bytes:
     if args.family not in (None, *owners):
         args.usage_error(f"--kind {args.kind} is in the {owners[0]} family, not {args.family}")
     kind = _FAMILIES[args.family or owners[0]](args.kind)
-    report = axiom_audit(kind, vector_norm=VectorNorm(args.vector_norm))
+    report = axiom_audit(kind, vector_norm=_vector_norm(args))
     if args.expect_paper and not matches_paper_pattern(report):
         failed = list(report.failed_axioms())
         print(f"error: audit of {report.kind} ({report.family}) disagrees with the published "
@@ -195,8 +190,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("entropy", _entropy, "set entropy")
     p.add_argument("--kind", choices=_values(EntropyKind), default="pe")
-    p.add_argument("--vector-norm", choices=_values(VectorNorm), default="max",
-                   help="scalar reduction for the vector entropy (default max)")
+    p.add_argument("--vector-norm", choices=_values(VectorNorm), default=None,
+                   help="scalar reduction for the vector entropy gm only (default max)")
 
     p = command("setop", _setop, "pointwise set operation", nargs=None)
     p.add_argument("kind", choices=_values(SetOpKind))
@@ -207,7 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=_values(*_FAMILIES.values()))
     p.add_argument("--family", choices=sorted(_FAMILIES), default=None,
                    help="the kind's family; required for pe, ph and pp, which are in both")
-    p.add_argument("--vector-norm", choices=_values(VectorNorm), default="max")
+    p.add_argument("--vector-norm", choices=_values(VectorNorm), default=None)
     p.add_argument("--expect-paper", action="store_true",
                    help="exit 1 when the audit disagrees with the published pass/fail pattern")
 

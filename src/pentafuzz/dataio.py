@@ -26,7 +26,7 @@ import numpy as np
 
 from .algebra import BipolarFuzzySet
 from .errors import DatasetError, ValidationError
-from .kernel import BipolarValue
+from .kernel import BipolarValue, PentaArrays
 from .measures import AuditReport
 
 __all__ = [
@@ -323,7 +323,7 @@ def _csv_table(columns: list[_Column], paper: bool) -> str:
 
 def _json_records(columns: list[_Column], paper: bool, level: int) -> str:
     """The rows as a JSON array of objects, laid out as json.dumps(indent=2) at this depth."""
-    if not columns[0].cells:
+    if len(columns[0].cells) == 0:  # numpy cells have no truth value
         return "[]"
     pad = "  " * (level + 1)
     keys = _json_texts([col.name for col in columns])
@@ -402,37 +402,19 @@ class MeasureReport:
     similarity: tuple[tuple[str, str, float], ...] | None = None
 
 
-_ELEMENT_FIELDS = ("mu", "nu", "t", "f", "u", "c", "i", "tau", "omega")
-
-
-def _element_columns(report: MeasureReport) -> list[_Column]:
-    """The element table's schema: id, the nine decomposition reals, class, measures."""
-    meta, rows = report.metadata, report.elements
-    measures = []
-    for field, kinds, prefix in (
-        ("cardinalities", meta.cardinality_kinds, "card"),
-        ("entropies", meta.entropy_kinds, "entropy"),
-    ):
-        values = list(map(attrgetter(field), rows))
-        if set(map(len, values)) - {len(kinds)}:
-            k = next(k for k, v in enumerate(values) if len(v) != len(kinds))
-            raise ValidationError(
-                f"element {rows[k].element_id!r} carries {len(values[k])} {field}; "
-                f"the metadata names {len(kinds)}"
-            )
-        measures += [
-            _Column(f"{prefix}_{kind}", [v[j] for v in values], True)
-            for j, kind in enumerate(kinds)
-        ]
-    columns = [_Column("id", [row.element_id for row in rows], False)]
-    columns += [_Column(name, list(map(attrgetter(name), rows)), True) for name in _ELEMENT_FIELDS]
-    columns.append(_Column("class", [row.value_class for row in rows], False))
-    return columns + measures
-
-
-def _similarity_columns(similarity) -> list[_Column]:
-    a, b, value = zip(*similarity) if similarity else ((), (), ())
-    return [_Column("a", a, False), _Column("b", b, False), _Column("value", value, True)]
+def _element_table(
+    meta: ReportMetadata, ids=(), penta=((),) * len(PentaArrays._fields), classes=(), measures=()
+) -> list[_Column]:
+    """The element table's schema: id, the nine decomposition reals, class, and a measure
+    column per kind the metadata names, cardinalities first; empty with no cells given."""
+    kinds = [f"card_{k}" for k in meta.cardinality_kinds]
+    kinds += [f"entropy_{k}" for k in meta.entropy_kinds]
+    return [
+        _Column("id", ids, False),
+        *(_Column(name, col, True) for name, col in zip(PentaArrays._fields, penta, strict=True)),
+        _Column("class", classes, False),
+        *(_Column(name, col, True) for name, col in zip(kinds, measures, strict=True)),
+    ]
 
 
 def _metadata_pairs(meta: ReportMetadata) -> list[tuple[str, object]]:
@@ -445,40 +427,56 @@ def _metadata_pairs(meta: ReportMetadata) -> list[tuple[str, object]]:
     ]
 
 
-def write_report(report: MeasureReport, fmt: str) -> bytes:
-    """Serialize a report; identical reports yield identical bytes."""
-    _check_format(fmt)
-    meta = report.metadata
+def _write_report(meta: ReportMetadata, elements, aggregates, pairs, fmt: str) -> bytes:
+    """The one measure report body: metadata, the element table, the (name, value)
+    aggregates and, unless pairs is None, the pair columns (a, b, value)."""
     paper = meta.paper_rounding
-    elements = _element_columns(report)
-    names = [name for name, _ in report.aggregates]
-    values = [value for _, value in report.aggregates]
+    names = [name for name, _ in aggregates]
+    values = [value for _, value in aggregates]
+    if pairs is not None:
+        pairs = list(map(_Column, ("a", "b", "value"), pairs, (False, False, True)))
 
     if fmt == "csv":
         parts = [f"# {key}={value}\n" for key, value in _metadata_pairs(meta)]
         parts.append(_csv_table(elements, paper))
-        if report.aggregates:
-            aggregates = [_Column("aggregate", names, False), _Column("value", values, True)]
-            parts += ["\n", _csv_table(aggregates, paper)]
-        if report.similarity is not None:
-            parts += ["\n", _csv_table(_similarity_columns(report.similarity), paper)]
+        if aggregates:
+            totals = [_Column("aggregate", names, False), _Column("value", values, True)]
+            parts += ["\n", _csv_table(totals, paper)]
+        if pairs is not None:
+            parts += ["\n", _csv_table(pairs, paper)]
         return "".join(parts).encode("utf-8")
 
     # A dict: a repeated aggregate name keeps its last value.
     aggregate_doc = dict(zip(names, map(float, format_reals(values, paper=paper))))
-    similarity = (
-        "null"
-        if report.similarity is None
-        else _json_records(_similarity_columns(report.similarity), paper, level=1)
-    )
     members = [
         ("metadata", _nested_json(dict(_metadata_pairs(meta)))),
         ("elements", _json_records(elements, paper, level=1)),
         ("aggregates", _nested_json(aggregate_doc)),
-        ("similarity", similarity),
+        ("similarity", "null" if pairs is None else _json_records(pairs, paper, level=1)),
     ]
     body = ",\n".join(f'  "{key}": {text}' for key, text in members)
     return ("{\n" + body + "\n}\n").encode("utf-8")
+
+
+def write_report(report: MeasureReport, fmt: str) -> bytes:
+    """Serialize a report; identical reports yield identical bytes."""
+    _check_format(fmt)
+    meta, rows = report.metadata, report.elements
+    measures = []
+    for field, kinds in (("cardinalities", meta.cardinality_kinds),
+                         ("entropies", meta.entropy_kinds)):
+        for row in rows:
+            if len(getattr(row, field)) != len(kinds):
+                raise ValidationError(
+                    f"element {row.element_id!r} carries {len(getattr(row, field))} {field}; "
+                    f"the metadata names {len(kinds)}"
+                )
+        measures += [[getattr(row, field)[j] for row in rows] for j in range(len(kinds))]
+    names = ("element_id", *PentaArrays._fields, "value_class")
+    ids, *penta, classes = (list(map(attrgetter(name), rows)) for name in names)
+    elements = _element_table(meta, ids, penta, classes, measures)
+    pairs = None if report.similarity is None else list(zip(*report.similarity)) or [()] * 3
+    return _write_report(meta, elements, report.aggregates, pairs, fmt)
 
 
 def write_audit(report: AuditReport, fmt: str) -> bytes:

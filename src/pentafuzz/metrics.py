@@ -195,6 +195,15 @@ def set_distance(
     raise ValidationError(f"unknown aggregation {aggregation!r}")
 
 
+def _pairwise(kind: DistanceKind, s: BipolarFuzzySet, similarity: bool):
+    """Arrays (j, k, values): the universe positions j > k of every pair, in
+    pairwise_matrix's order, and the pair's distance or similarity."""
+    d = decompose(*s.arrays())
+    j, k = np.tril_indices(len(s), -1)
+    dist = _combine_arrays(kind, d.tau[j], d.omega[j], d.tau[k], d.omega[k])
+    return j, k, 1.0 - dist if similarity else dist
+
+
 def pairwise_matrix(
     kind: DistanceKind,
     s: BipolarFuzzySet,
@@ -205,9 +214,6 @@ def pairwise_matrix(
     Rows follow universe order: for elements e0, e1, ... the entries are
     (e1, e0), (e2, e0), (e2, e1), ...
     """
-    d = decompose(*s.arrays())
-    j, k = np.tril_indices(len(s), -1)
-    dist = _combine_arrays(kind, d.tau[j], d.omega[j], d.tau[k], d.omega[k])
+    j, k, values = _pairwise(kind, s, similarity)
     ids = np.array(s.universe, dtype=object)
-    values = 1.0 - dist if similarity else dist
     return tuple(zip(ids[j].tolist(), ids[k].tolist(), values.tolist()))

@@ -291,10 +291,16 @@ def _check_distance_axioms(pairs, failures):
                         return
 
 
-def test_criterion_5_property_suites_and_audits(random_pairs):
+@pytest.fixture(scope="module")
+def distance_axiom_failures(random_pairs):
+    # criterion 5 and the d1-d6 test assert on this one run of the check
     failures = []
-
     _check_distance_axioms(random_pairs, failures)
+    return tuple(failures)
+
+
+def test_criterion_5_property_suites_and_audits(distance_axiom_failures):
+    failures = list(distance_axiom_failures)
 
     # landmark clauses d3/d4 and s3/s4
     for kind in ALL_KINDS:
@@ -354,9 +360,8 @@ def test_criterion_5_property_suites_and_audits(random_pairs):
 # -------------------------------------------------------------------------
 
 
-def test_distance_axioms_d1_to_d6_on_random_pairs(random_pairs):
-    failures = []
-    _check_distance_axioms(random_pairs, failures)
+def test_distance_axioms_d1_to_d6_on_random_pairs(distance_axiom_failures):
+    failures = list(distance_axiom_failures)
     finish("d1-d6/s1-s6 on 1e5 random pairs", failures)
 
 

@@ -1,20 +1,24 @@
 """The array path against the scalar oracle, bit for bit.
 
-Every set-level function and the CLI's element rows run through the
+Every set-level function and the CLI's element columns run through the
 array kernel (``decompose`` and the array combiners).  The scalar
 functions are the oracle: each property below recomputes the old
 per-element route and requires the same bits (``float.hex``, so even the
 sign of a zero counts), or the same exception type and message.
 """
 
+import contextlib
+import io
+import json
 import math
 import random
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
+import pentafuzz
 from pentafuzz import (
     EPSILON,
     NORM_PAIRS,
@@ -47,9 +51,9 @@ from pentafuzz import (
     to_tau_omega,
     union,
 )
-from pentafuzz.cli import _element_rows
-from pentafuzz.dataio import ElementRow
-from pentafuzz.kernel import decompose, penta_arrays
+from pentafuzz.cli import _element_columns, main
+from pentafuzz.dataio import ElementRow, MeasureReport, ReportMetadata, read_dataset, write_report
+from pentafuzz.kernel import PentaArrays, decompose, penta_arrays
 
 SMALLEST_NORMAL = 2.2250738585072014e-308
 LANDMARK_DEGREES = (
@@ -163,15 +167,17 @@ def scalar_element_rows(s, card_kinds=(), entropy_kinds=(), norm=VectorNorm.MAX)
     return tuple(rows)
 
 
-def row_bits(row):
-    numbers = (row.mu, row.nu, row.t, row.f, row.u, row.c, row.i, row.tau, row.omega)
-    return (
-        row.element_id,
-        bits(numbers),
-        row.value_class,
-        bits(row.cardinalities),
-        bits(row.entropies),
-    )
+def scalar_element_columns(s, card_kinds=(), entropy_kinds=(), norm=VectorNorm.MAX):
+    """scalar_element_rows transposed into _element_columns' shape."""
+    rows = scalar_element_rows(s, card_kinds, entropy_kinds, norm)
+    penta = [[getattr(row, name) for row in rows] for name in PentaArrays._fields]
+    measures = [[row.cardinalities[j] for row in rows] for j in range(len(card_kinds))]
+    measures += [[row.entropies[j] for row in rows] for j in range(len(entropy_kinds))]
+    return [row.element_id for row in rows], penta, [row.value_class for row in rows], measures
+
+
+def column_bits(ids, penta, classes, measures):
+    return list(ids), [bits(col) for col in penta], list(classes), [bits(col) for col in measures]
 
 
 class TestDecomposition:
@@ -266,16 +272,16 @@ class TestSetMeasures:
         ),
         st.sampled_from(VectorNorm),
     )
-    def test_element_rows_equal_the_scalar_rows(self, s, kinds, norm):
+    def test_element_columns_equal_the_scalar_rows(self, s, kinds, norm):
         card_kinds, entropy_kinds = kinds
 
-        def rows(build):
+        def columns(build):
             try:
-                return [row_bits(r) for r in build(s, card_kinds, entropy_kinds, norm)]
+                return column_bits(*build(s, card_kinds, entropy_kinds, norm))
             except (ValidationError, UndefinedValueError) as exc:
                 return (type(exc), str(exc))
 
-        assert rows(_element_rows) == rows(scalar_element_rows)
+        assert columns(_element_columns) == columns(scalar_element_columns)
 
 
 class TestErrorPaths:
@@ -298,7 +304,7 @@ class TestErrorPaths:
             assert got == outcome(oracle, kind, s)
             assert got[1] is ValidationError and "(0.9, 0.8)" in got[2]
         with pytest.raises(ValidationError, match=r"\(0\.9, 0\.8\)"):
-            _element_rows(s, card_kinds=(kind,))
+            _element_columns(s, card_kinds=(kind,))
 
     def test_skpi_at_the_unknown_and_contradictory_landmarks(self):
         s = self.make((0.2, 0.3), (1.0, 1.0), (0.0, 0.0))
@@ -308,7 +314,94 @@ class TestErrorPaths:
         assert got == outcome(scalar_entropy_set, kind, s, norm)
         assert got[1] is UndefinedValueError and "(1.0, 1.0)" in got[2]
         with pytest.raises(UndefinedValueError, match=r"\(1\.0, 1\.0\)"):
-            _element_rows(s, entropy_kinds=(kind,))
+            _element_columns(s, entropy_kinds=(kind,))
+
+
+# The CLI writes its element and pair columns straight into the report
+# writer; write_report of the row report is its oracle, byte for byte.
+
+REPORT_IDS = ("a,b", 'q"x', "\u00e9", "e")  # CSV quoting, JSON escaping, neither
+ONE_ID = '[{"id": "%s", "mu": 0.2, "nu": 0.1}]'
+
+
+@st.composite
+def report_jobs(draw):
+    """A dataset as JSON text, and one penta/card/entropy/sim/dist command on it."""
+    pairs = draw(st.lists(degree_pairs(), max_size=6))
+    records = [
+        {"id": f"{draw(st.sampled_from(REPORT_IDS))}{k}", "mu": mu, "nu": nu}
+        for k, (mu, nu) in enumerate(pairs)
+    ]
+    command = draw(st.sampled_from(["penta", "card", "entropy", "sim", "dist"]))
+    kind = {
+        "card": st.sampled_from(CardinalityKind),
+        "entropy": st.sampled_from(EntropyKind),
+        "sim": st.sampled_from(DistanceKind),
+        "dist": st.sampled_from(DistanceKind),
+    }.get(command, st.none())
+    kind = draw(kind)
+    # --vector-norm is a usage error for every entropy but gm.
+    norm = draw(st.one_of(st.none(), st.sampled_from(VectorNorm)))
+    if kind is not EntropyKind.GRZEGORZEWSKI_MROWKA:
+        norm = None
+    return json.dumps(records), command, kind, norm
+
+
+def row_route(s, stem, command, kind, norm, fmt, paper):
+    """write_report of the MeasureReport built from scalar rows and pairwise_matrix."""
+    card_kinds = (kind,) if command == "card" else ()
+    entropy_kinds = (kind,) if command == "entropy" else ()
+    norm = norm or VectorNorm.MAX
+    rows = scalar_element_rows(s, card_kinds, entropy_kinds, norm)
+    aggregates, similarity = (), None
+    if card_kinds:
+        aggregates = (
+            ("set_cardinality", cardinality_set(kind, s)),
+            ("border_cardinality", border_cardinality(kind, s)),
+        )
+    if entropy_kinds:
+        aggregates = (("set_entropy", entropy_set(kind, s, norm)),)
+    if command in ("sim", "dist"):
+        similarity = pairwise_matrix(kind, s, similarity=command == "sim")
+    meta = ReportMetadata(
+        dataset=stem,
+        tool_version=pentafuzz.__version__,
+        distance_kind=kind.value if similarity is not None else None,
+        cardinality_kinds=tuple(k.value for k in card_kinds),
+        entropy_kinds=tuple(k.value for k in entropy_kinds),
+        paper_rounding=paper,
+    )
+    return write_report(MeasureReport(meta, rows, aggregates, similarity), fmt)
+
+
+class TestReportRoutes:
+    @settings(max_examples=150, deadline=None)
+    @given(report_jobs(), st.sampled_from(["csv", "json"]), st.booleans())
+    @example(("[]", "sim", DistanceKind.PSEUDO_EUCLID, None), "json", False)
+    @example(("[]", "entropy", EntropyKind.BUSTINCE_BURILLO, None), "csv", True)
+    @example((ONE_ID % "a,b", "dist", DistanceKind.PSEUDO_PROB, None), "csv", False)
+    @example((ONE_ID % "\\u00e9", "card", CardinalityKind.FROM_PE, None), "json", True)
+    @example((ONE_ID % 'q\\"x', "entropy", EntropyKind.GRZEGORZEWSKI_MROWKA, None), "csv", False)
+    def test_cli_columns_write_the_row_report_bytes(self, tmp_path_factory, job, fmt, paper):
+        text, command, kind, norm = job
+        path = tmp_path_factory.mktemp("routes") / "data.json"
+        path.write_text(text)
+        out = path.with_name("report")
+        argv = [command, str(path), "--format", fmt, "--out", str(out)]
+        argv += ["--kind", kind.value] if kind is not None else []
+        argv += ["--vector-norm", norm.value] if norm is not None else []
+        argv += ["--paper-rounding"] if paper else []
+        with open(path, "rb") as fh:
+            s = read_dataset(fh, "json")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            status = main(argv)
+        try:
+            want = row_route(s, path.stem, command, kind, norm, fmt, paper)
+        except (ValidationError, UndefinedValueError) as exc:
+            assert (status, err.getvalue()) == (1, f"error: {exc}\n")
+        else:
+            assert status == 0 and out.read_bytes() == want
 
 
 # set_op runs on the degree arrays; the scalar operators are its oracle.

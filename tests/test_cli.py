@@ -129,6 +129,13 @@ class TestEntropy:
         out = capsysbinary.readouterr().out.decode()
         assert "set_entropy,2.00000" in out
 
+    def test_vector_norm_outside_gm_is_usage_error(self, tmp_path, capsys):
+        path = write(tmp_path, "g.csv", "id,mu,nu\nx,0.2,0.1\n")
+        with pytest.raises(SystemExit) as err:
+            main(["entropy", "--kind", "ph", "--vector-norm", "sum", str(path)])
+        assert err.value.code == 2
+        assert "--vector-norm applies to --kind gm only" in capsys.readouterr().err
+
     def test_pi_ratio_undefined_at_unknown(self, tmp_path, capsys):
         path = write(tmp_path, "u.csv", "id,mu,nu\nx,0,0\n")
         assert main(["entropy", "--kind", "skpi", str(path)]) == 1
@@ -217,6 +224,16 @@ class TestAudit:
         assert main(["audit", "--kind", "med", "--format", "json"]) == 0
         doc = json.loads(capsysbinary.readouterr().out.decode())
         assert doc["kind"] == "med" and doc["overall"] == "PASS"
+
+    def test_vector_norm_outside_gm_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["audit", "--kind", "bb", "--vector-norm", "max"])
+        assert err.value.code == 2
+        assert "--vector-norm applies to --kind gm only" in capsys.readouterr().err
+
+    def test_vector_norm_defaults_to_max(self, capsysbinary):
+        assert main(["audit", "--kind", "gm"]) == 0
+        assert "kind=gm-max" in capsysbinary.readouterr().out.decode()
 
     def test_vector_norm_variant(self, capsysbinary):
         assert main(["audit", "--kind", "gm", "--vector-norm", "sum"]) == 0
