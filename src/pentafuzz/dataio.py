@@ -18,6 +18,7 @@ import json
 import re
 from dataclasses import dataclass, fields
 from decimal import ROUND_DOWN, ROUND_HALF_EVEN, Context, Decimal
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import BinaryIO, NamedTuple, Sequence
@@ -73,55 +74,201 @@ def format_real(x: float, *, sig: int = 6, paper: bool = False) -> str:
     return format(q, "f")
 
 
-# The bulk formatter.  format_real rounds the shortest repr of x; C's
-# correctly rounded '%.*f' rounds x's exact binary value.  The two agree
-# unless a rounding boundary (a decimal ending in 5 one digit past the
-# kept ones) lies between x and its repr, and both lie in the set of
-# decimals that round to x, so that boundary rounds to x as well.  Entry
-# by entry, the fast path therefore tests whether the boundary nearest x
-# rounds to x, and leaves those entries, and every entry outside the
-# range where the test is exact, to format_real.
+# The text kernel.  Reports are tables of reals; each real column is
+# rendered as a byte matrix, one row per entry, from q = rint(|x| * 10**d)
+# at format_real's own precision d.  The digits are exact unless a
+# rounding boundary (q + 1/2) lies within float64 error of |x| * 10**d,
+# where format_real's decimal rounding of repr(x) may differ: those
+# entries, and every entry outside the range where the test is exact, are
+# format_real's own text.  A table is laid out as one matrix of cell
+# matrices and literal columns, with a mask of the bytes each row holds,
+# and compacted once.
+
+# The four ASCII digits of each index below 10,000, one uint32 each.
+_DIGITS = np.arange(10_000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
+_DIGITS = (_DIGITS % 10 + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+_POW10_INT = 10 ** np.arange(19, dtype=np.int64)
 
 # Default mode covers 1e-4 <= |x| < 1e6, where repr is positional.  The
 # exponent of repr(x) is the largest k with |x| >= float(10**k): both
-# sides of that comparison fall on the same side of 10**k.
+# sides of that comparison fall on the same side of 10**k.  Six
+# significant digits at exponent k keep 5 - k decimals; 10**(5 - k) is an
+# exact double, and p = |x| * 10**(5 - k) < 2**20 is off the exact product
+# of repr(x) by under 2**-32.
 _POW10 = np.array([float(f"1e{k}") for k in range(-4, 6)])
-# Six significant digits at exponent k keep 5 - k decimals; a boundary
-# times 10**(6 - k) is an integer ending in 5, and 10**(6 - k) <= 1e10 is
-# exact, so k7 / scale is the double nearest the boundary.
-_BOUNDARY_SCALE = np.array([float(f"1e{6 - k}") for k in range(-4, 6)])
-_SPECS = np.array([f".{5 - k}f" for k in range(-4, 6)], dtype=object)
-# Paper mode snaps at twelve decimals, exact below 100: 100 * 1e13 < 2**53.
+_DEFAULT_TIE = 2.0**-30
+# Paper mode snaps at twelve decimals and truncates to two, exact below
+# 100: p = |x| * 1e12 < 2**47, off the snap of repr(x) by under p * 2**-52.
 _PAPER_LIMIT = 100.0
+_PAPER_TIE = 2.0**-50
+
+
+class _Cells(NamedTuple):
+    """A column of texts as bytes: row r's text is chars[r][mask[r]], or long[r]
+    for the few rows whose text is wider than the matrix (their mask is empty)."""
+
+    chars: np.ndarray  # uint8, (n, width)
+    mask: np.ndarray  # bool, (n, width)
+    long: dict[int, bytes]
+
+
+def _digits(v: np.ndarray, width: int) -> np.ndarray:
+    """The `width` decimal digits, leading zeros included, of each int64 in v, which
+    must lie in [0, 10**width), as ASCII bytes."""
+    groups = -(-width // 4) or 1
+    out = np.empty((v.size, groups), np.uint32)
+    for g in range(groups - 1, 0, -1):
+        high = v // 10_000
+        np.take(_DIGITS, v - high * 10_000, out=out[:, g])
+        v = high
+    np.take(_DIGITS, v, out=out[:, 0])
+    return out.view(np.uint8)[:, 4 * groups - width :]
+
+
+def _first(k, width: int) -> np.ndarray:
+    """The mask of width entries whose first k are set, for each k in an int array
+    or for one int, with 0 <= k <= width."""
+    # Rows padded to whole uint64s, so the gather moves one word per 8 entries.
+    padded = -(-width // 8) * 8 or 8
+    table = np.arange(padded) < np.arange(width + 1)[:, None]
+    return np.take(table.view(np.uint64), k, axis=0).view(bool)[..., :width]
+
+
+def _width(lens: np.ndarray) -> int:
+    """A matrix width for texts of these byte lengths: the widest, unless that is more
+    than twice the mean; the texts beyond it are kept aside, so the matrix never holds
+    much more than twice the bytes of its texts."""
+    if lens.size == 0:
+        return 1
+    return max(1, min(int(lens.max()), 2 * -(-int(lens.sum()) // lens.size)))
+
+
+def _text_cells(texts: list[str], width: int | None = None) -> _Cells:
+    """Cells holding each text's UTF-8 bytes, in a matrix of this width or of _width's."""
+    data = texts if "".join(texts).isascii() else [t.encode("utf-8") for t in texts]
+    lens = np.fromiter(map(len, data), np.int64, len(data))
+    width = _width(lens) if width is None else width
+    # The S dtype pads with NUL bytes and cuts the texts beyond the width;
+    # the mask, not the padding, says where each text ends.
+    chars = np.array(data, dtype=f"S{width}").view(np.uint8).reshape(len(data), width)
+    wide = lens > width
+    mask = np.arange(width) < np.where(wide, 0, lens)[:, None]
+    long = {r: texts[r].encode("utf-8") for r in np.flatnonzero(wide).tolist()}
+    return _Cells(chars, mask, long)
+
+
+def _real_cells(values, paper: bool, json_numbers: bool = False) -> _Cells:
+    """Cells holding format_real(x, paper=paper) for each x, or with json_numbers,
+    json.dumps(float(format_real(x, paper=paper))): the same digits with the
+    fraction's trailing zeros dropped, down to one."""
+    x = np.asarray(values, dtype=np.float64).reshape(-1)
+    ax = np.abs(x)
+    # Entries outside the exact range overflow or are nan in the tests; they are slow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if paper:
+            p = ax * 1e12
+            slow = ~(ax < _PAPER_LIMIT) | (np.abs(p - np.floor(p) - 0.5) <= p * _PAPER_TIE)
+            # Hundredths, the twelve-decimal snap truncated toward zero.
+            fixed = np.rint(np.where(slow, 0.0, p)).astype(np.int64) // _POW10_INT[10]
+            decimals = frac_width = 2
+            negative = np.signbit(x)
+        else:
+            decimals = np.full(x.size, 9, np.int8)
+            for bound in _POW10[1:]:
+                decimals -= ax >= bound
+            p = ax * np.take(_POW10_INT, decimals)
+            zero = ax == 0.0  # either sign prints "0"
+            tie = np.abs(p - np.floor(p) - 0.5) < _DEFAULT_TIE
+            slow = ~((ax >= _POW10[0]) & (ax < 1e6)) | tie
+            slow &= ~zero
+            decimals[slow | zero] = 0  # slow entries get no digits here
+            frac_width = int(decimals.max()) if x.size else 0
+            # Every entry in units of 10**-frac_width, so one divisor splits them all.
+            fixed = np.rint(np.where(slow, 0.0, p)).astype(np.int64)
+            fixed *= np.take(_POW10_INT, frac_width - decimals)
+            negative = x < 0.0
+    if json_numbers:
+        frac_width = max(frac_width, 1)
+    whole, frac = np.divmod(fixed, _POW10_INT[frac_width])
+    int_width = len(str(int(whole.max()))) if x.size else 1
+    int_digits = sum((whole >= _POW10_INT[j] for j in range(1, int_width)), start=1)
+    width = int_width + frac_width + 2
+    chars = np.empty((x.size, width), np.uint8)
+    mask = np.empty((x.size, width), bool)
+    chars[:, 0], mask[:, 0] = ord("-"), negative
+    chars[:, 1 : int_width + 1] = _digits(whole, int_width)
+    # The integer digits right-aligned, as many as the integer part has.
+    mask[:, int_width:0:-1] = _first(int_digits, int_width)
+    chars[:, int_width + 1] = ord(".")
+    chars[:, int_width + 2 :] = digits = _digits(frac, frac_width)
+    if json_numbers:
+        # The point, and the decimals up to the last nonzero one, at least one.
+        nonzero = (digits != ord("0")) * np.arange(1, frac_width + 1, dtype=np.uint8)
+        mask[:, int_width + 1] = True
+        mask[:, int_width + 2 :] = _first(np.maximum(nonzero.max(1, initial=0), 1), frac_width)
+    else:
+        mask[:, int_width + 1] = decimals > 0
+        mask[:, int_width + 2 :] = _first(decimals, frac_width)
+    rows = np.flatnonzero(slow)
+    texts = [format_real(v, paper=paper) for v in x[rows].tolist()]
+    if json_numbers:
+        # json.dumps writes a finite float as its repr; format_real already
+        # spells nan and the infinities as JSON does.
+        finite = np.isfinite(x[rows]).tolist()
+        texts = [repr(float(t)) if f else t for t, f in zip(texts, finite)]
+    slow_cells = _text_cells(texts, width)
+    chars[rows], mask[rows] = slow_cells.chars, slow_cells.mask
+    long = {int(rows[r]): text for r, text in slow_cells.long.items()}
+    return _Cells(chars, mask, long)
+
+
+def _render_rows(pieces: list) -> bytes:
+    """Row after row, each the concatenation of its pieces: _Cells of equal row
+    counts and literal bytes, the same in every row."""
+    n = next(len(p.chars) for p in pieces if isinstance(p, _Cells))
+    widths = [p.chars.shape[1] if isinstance(p, _Cells) else len(p) for p in pieces]
+    chars = np.empty((n, sum(widths)), np.uint8)
+    mask = np.empty((n, sum(widths)), bool)
+    long, at = [], 0
+    for piece, width in zip(pieces, widths):
+        if isinstance(piece, _Cells):
+            chars[:, at : at + width] = piece.chars
+            mask[:, at : at + width] = piece.mask
+            long += [(r, at, text) for r, text in piece.long.items()]
+        else:
+            chars[:, at : at + width] = np.frombuffer(piece, np.uint8)
+            mask[:, at : at + width] = True
+        at += width
+    out = chars[mask].tobytes()
+    if not long:
+        return out
+    # Splice the long texts in where their cells start in the compacted rows:
+    # after the bytes of the rows above and of the row's own earlier pieces.
+    long.sort()
+    rows, starts = (np.array(column) for column in list(zip(*long))[:2])
+    row_start = np.concatenate(([0], np.cumsum(mask.sum(1))))
+    offsets = row_start[rows]
+    for at in np.unique(starts).tolist():
+        here = starts == at
+        offsets[here] += mask[rows[here], :at].sum(1)
+    parts, pos = [], 0
+    for offset, (_, _, text) in zip(offsets.tolist(), long):
+        parts += [out[pos:offset], text]
+        pos = offset
+    parts.append(out[pos:])
+    return b"".join(parts)
+
+
+def _lines(cells: _Cells) -> list[str]:
+    """The cells' texts, which hold no newline, as strings."""
+    if not len(cells.chars):
+        return []
+    return _render_rows([cells, b"\n"]).decode("utf-8").split("\n")[:-1]
 
 
 def format_reals(values, *, paper: bool = False) -> list[str]:
-    """[format_real(v, paper=paper) for v in values], the same strings, mostly in C."""
-    x = np.asarray(values, dtype=np.float64).reshape(-1)
-    ax = np.abs(x)
-    # Entries outside the exact range overflow in the tests; format_real takes them.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if paper:
-            k13 = np.rint(ax * 1e13)
-            slow = ~(ax < _PAPER_LIMIT) | ((k13 % 10 == 5) & (k13 / 1e13 == ax))
-        else:
-            k = np.clip(np.searchsorted(_POW10, ax, side="right") - 1, 0, len(_POW10) - 1)
-            scale = _BOUNDARY_SCALE[k]
-            k7 = np.rint(ax * scale)
-            in_range = (ax >= _POW10[0]) & (ax < 1e6)
-            slow = ~in_range | ((k7 % 10 == 5) & (k7 / scale == ax))
-    if paper:
-        # '.12f' is the snap; dropping ten decimals truncates toward zero.
-        out = [s[:-10] for s in map("%.12f".__mod__, np.where(slow, 0.0, x).tolist())]
-    else:
-        # Zero of either sign prints "0", as format(0.0, ".0f") does.
-        zero = ax == 0.0
-        slow &= ~zero
-        specs = np.where(zero, ".0f", _SPECS[k]).tolist()
-        out = list(map(format, np.where(slow | zero, 0.0, x).tolist(), specs))
-    for k in np.flatnonzero(slow).tolist():
-        out[k] = format_real(float(x[k]), paper=paper)
-    return out
+    """[format_real(v, paper=paper) for v in values], the same strings, from one byte matrix."""
+    return _lines(_real_cells(values, paper))
 
 
 # ---------------------------------------------------------------------------
@@ -162,32 +309,77 @@ def _check_csv_row(lineno: int, row: list[str], seen: set[str]) -> None:
     _check_value(eid, mu, nu, f"line {lineno}")
 
 
-def _read_csv(text: str) -> BipolarFuzzySet:
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DatasetError("empty input: missing header row") from None
-    if header != ["id", "mu", "nu"]:
-        raise DatasetError(f"header must be exactly id,mu,nu, got {','.join(header)}")
-    records = list(reader)
-    rows = [row for row in records if row]  # blank lines are skipped
-    # Column-wise checks; the set checks ids and degree ranges per array.
-    if set(map(len, rows)) <= {3}:
-        ids, mus, nus = zip(*rows) if rows else ((), (), ())
-        cells = "".join(mus) + "".join(nus)
-        if "_" not in cells and cells.isascii():
-            try:
-                mu = np.array(list(map(float, mus)), dtype=np.float64)
-                nu = np.array(list(map(float, nus)), dtype=np.float64)
-                return BipolarFuzzySet._from_arrays(ids, mu, nu)
-            except ValueError:  # a bad number, id or degree: found below
-                pass
-    # Something failed: the row checks name the first bad line.
+def _split_columns(text: str) -> tuple[list[str], list[str], list[str]] | None:
+    """The id, mu and nu columns of the lines below the header, split with str.split.
+
+    For a text with no '"' and no '\\r', csv.reader splits at every comma
+    and newline and skips blank lines, and so does this.  None unless each
+    of those lines has exactly two commas and fits csv's field limit.
+    """
+    lines = text.split("\n")[1:]
+    if "" in lines:
+        lines = list(filter(None, lines))  # blank lines are skipped
+    if set(map(str.count, lines, repeat(","))) - {2}:
+        return None
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines), default=0) > limit:
+        return None  # csv.reader names the line
+    cells = ",".join(lines).split(",") if lines else []
+    return cells[0::3], cells[1::3], cells[2::3]
+
+
+def _check_csv_rows(records: list[list[str]]) -> None:
+    """The row checks, from the first data line on; raises the first that fails."""
     seen: set[str] = set()
     for lineno, row in enumerate(records, start=2):
         if row:
             _check_csv_row(lineno, row, seen)
+
+
+def _read_csv(text: str) -> BipolarFuzzySet:
+    reader = csv.reader(io.StringIO(text))
+
+    def csv_error(exc: csv.Error) -> DatasetError:
+        # A field over the limit, or a bare \r inside an unquoted line.
+        return DatasetError(f"line {reader.line_num}: {exc}")
+
+    def rest() -> list[list[str]]:
+        records: list[list[str]] = []
+        try:
+            records.extend(reader)
+        except csv.Error as exc:
+            _check_csv_rows(records)  # a bad line above it comes first
+            raise csv_error(exc) from None
+        return records
+
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise csv_error(exc) from None
+    if header is None:
+        raise DatasetError("empty input: missing header row")
+    if header != ["id", "mu", "nu"]:
+        raise DatasetError(f"header must be exactly id,mu,nu, got {','.join(header)}")
+    records = None
+    columns = _split_columns(text) if '"' not in text and "\r" not in text else None
+    if columns is None:
+        records = rest()
+        rows = [row for row in records if row]  # blank lines are skipped
+        if set(map(len, rows)) <= {3}:
+            columns = tuple(zip(*rows)) if rows else ((), (), ())
+    # Column-wise checks; the set checks ids and degree ranges per array.
+    if columns is not None:
+        ids, mus, nus = columns
+        cells = "".join(mus) + "".join(nus)
+        if "_" not in cells and cells.isascii():
+            try:
+                mu = np.array(mus, dtype=np.float64)  # float() on each cell
+                nu = np.array(nus, dtype=np.float64)
+                return BipolarFuzzySet._from_arrays(ids, mu, nu)
+            except ValueError:  # a bad number, id or degree: found below
+                pass
+    # Something failed: the row checks name the first bad line.
+    _check_csv_rows(rest() if records is None else records)
     raise AssertionError("a row failed a column check but passes the row checks")
 
 
@@ -202,6 +394,10 @@ def _check_json_record(idx: int, record, seen: set[str]) -> tuple[str, float, fl
     eid = record["id"]
     if not isinstance(eid, str) or not eid:
         raise DatasetError(f"{where}: id must be a nonempty string, got {eid!r}")
+    try:
+        eid.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate such as "\ud800"; reports are UTF-8
+        raise DatasetError(f"{where}: id must be valid Unicode, got {eid!r}") from None
     if eid in seen:
         raise DatasetError(f"{where}: duplicate element id {eid!r}")
     seen.add(eid)
@@ -262,7 +458,7 @@ def read_dataset(source: BinaryIO, fmt: str) -> BipolarFuzzySet:
 class _Column(NamedTuple):
     name: str
     cells: Sequence
-    real: bool  # reals go through format_reals; other cells are text
+    real: bool  # reals go through _real_cells; other cells are text
 
 
 _CSV_SPECIALS = re.compile(r'[,"\r\n]')
@@ -288,57 +484,48 @@ def _json_texts(cells: Sequence) -> list[str]:
     return list(map(json.dumps, cells))
 
 
-def _json_numbers(formatted: list[str]) -> list[str]:
-    # What json.dumps writes for float(text); it spells nan and inf its own way.
-    numbers = list(map(float, formatted))
-    if np.isfinite(np.array(numbers, dtype=np.float64)).all():
-        return list(map(float.__repr__, numbers))
-    return list(map(json.dumps, numbers))
+def _cells(col: _Column, fmt: str, paper: bool) -> _Cells:
+    """A column's cells as CSV fields or JSON values."""
+    if col.real:
+        return _real_cells(col.cells, paper, json_numbers=fmt == "json")
+    return _text_cells(_json_texts(col.cells) if fmt == "json" else _csv_texts(col.cells))
 
 
-def _cell_texts(columns: list[_Column], fmt: str, paper: bool) -> list[list[str]]:
-    """Each column's cells as CSV fields or JSON values; reals formatted in one batch."""
-    reals = format_reals(
-        np.concatenate([np.asarray(col.cells, dtype=np.float64) for col in columns if col.real]),
-        paper=paper,
-    )
-    if fmt == "json":
-        reals = _json_numbers(reals)
-    texts, pos = [], 0
-    for col in columns:
-        if col.real:
-            texts.append(reals[pos : pos + len(col.cells)])
-            pos += len(col.cells)
-        else:
-            texts.append(_json_texts(col.cells) if fmt == "json" else _csv_texts(col.cells))
-    return texts
+def _table_rows(columns: list[_Column], fmt: str, paper: bool, level: int = 0) -> bytes:
+    """The table's rows: CSV lines, or JSON objects laid out as json.dumps(indent=2)
+    at this depth, each followed by a comma.  Each row's bytes depend on that row only."""
+    pieces = []
+    if fmt == "csv":
+        for col in columns:
+            pieces += [_cells(col, fmt, paper), b","]
+        pieces[-1] = b"\n"
+    else:
+        pad = "  " * (level + 1)
+        lead = pad + "{\n"
+        for key, col in zip(_json_texts([col.name for col in columns]), columns):
+            pieces += [f"{lead}{pad}  {key}: ".encode("ascii"), _cells(col, fmt, paper)]
+            lead = ",\n"
+        pieces.append(f"\n{pad}}},\n".encode("ascii"))
+    return _render_rows(pieces)
 
 
-def _csv_table(columns: list[_Column], paper: bool) -> str:
+def _csv_table(columns: list[_Column], paper: bool) -> bytes:
     """Header line and one line per row, each ending in a newline."""
-    lines = [",".join(_csv_texts([col.name for col in columns]))]
-    lines += map(",".join, zip(*_cell_texts(columns, "csv", paper)))
-    return "\n".join(lines) + "\n"
+    header = ",".join(_csv_texts([col.name for col in columns])) + "\n"
+    return header.encode("utf-8") + _table_rows(columns, "csv", paper)
 
 
-def _json_records(columns: list[_Column], paper: bool, level: int) -> str:
+def _json_records(columns: list[_Column], paper: bool, level: int) -> bytes:
     """The rows as a JSON array of objects, laid out as json.dumps(indent=2) at this depth."""
     if len(columns[0].cells) == 0:  # numpy cells have no truth value
-        return "[]"
-    pad = "  " * (level + 1)
-    keys = _json_texts([col.name for col in columns])
-    record = (
-        pad + "{\n"
-        + ",\n".join(f"{pad}  {key.replace('%', '%%')}: %s" for key in keys)
-        + "\n" + pad + "}"
-    )
-    rows = map(record.__mod__, zip(*_cell_texts(columns, "json", paper)))
-    return "[\n" + ",\n".join(rows) + "\n" + "  " * level + "]"
+        return b"[]"
+    rows = _table_rows(columns, "json", paper, level)[:-2]  # no comma after the last
+    return b"[\n" + rows + b"\n" + b"  " * level + b"]"
 
 
-def _nested_json(value) -> str:
+def _nested_json(value) -> bytes:
     # json.dumps(indent=2) of a value one level down in the document.
-    return json.dumps(value, indent=2).replace("\n", "\n  ")
+    return json.dumps(value, indent=2).replace("\n", "\n  ").encode("ascii")
 
 
 def write_dataset(s: BipolarFuzzySet, fmt: str) -> bytes:
@@ -356,8 +543,8 @@ def write_dataset(s: BipolarFuzzySet, fmt: str) -> bytes:
         _Column("nu", nu, True),
     ]
     if fmt == "csv":
-        return _csv_table(columns, paper=False).encode("utf-8")
-    return (_json_records(columns, paper=False, level=0) + "\n").encode("utf-8")
+        return _csv_table(columns, paper=False)
+    return _json_records(columns, paper=False, level=0) + b"\n"
 
 
 # ---------------------------------------------------------------------------
@@ -437,25 +624,25 @@ def _write_report(meta: ReportMetadata, elements, aggregates, pairs, fmt: str) -
         pairs = list(map(_Column, ("a", "b", "value"), pairs, (False, False, True)))
 
     if fmt == "csv":
-        parts = [f"# {key}={value}\n" for key, value in _metadata_pairs(meta)]
+        parts = [f"# {key}={value}\n".encode("utf-8") for key, value in _metadata_pairs(meta)]
         parts.append(_csv_table(elements, paper))
         if aggregates:
             totals = [_Column("aggregate", names, False), _Column("value", values, True)]
-            parts += ["\n", _csv_table(totals, paper)]
+            parts += [b"\n", _csv_table(totals, paper)]
         if pairs is not None:
-            parts += ["\n", _csv_table(pairs, paper)]
-        return "".join(parts).encode("utf-8")
+            parts += [b"\n", _csv_table(pairs, paper)]
+        return b"".join(parts)
 
     # A dict: a repeated aggregate name keeps its last value.
     aggregate_doc = dict(zip(names, map(float, format_reals(values, paper=paper))))
     members = [
-        ("metadata", _nested_json(dict(_metadata_pairs(meta)))),
-        ("elements", _json_records(elements, paper, level=1)),
-        ("aggregates", _nested_json(aggregate_doc)),
-        ("similarity", "null" if pairs is None else _json_records(pairs, paper, level=1)),
+        (b"metadata", _nested_json(dict(_metadata_pairs(meta)))),
+        (b"elements", _json_records(elements, paper, level=1)),
+        (b"aggregates", _nested_json(aggregate_doc)),
+        (b"similarity", b"null" if pairs is None else _json_records(pairs, paper, level=1)),
     ]
-    body = ",\n".join(f'  "{key}": {text}' for key, text in members)
-    return ("{\n" + body + "\n}\n").encode("utf-8")
+    body = b",\n".join(b'  "%s": %s' % member for member in members)
+    return b"{\n" + body + b"\n}\n"
 
 
 def write_report(report: MeasureReport, fmt: str) -> bytes:

@@ -32,17 +32,26 @@ def _make_value(eid, raw_mu, raw_nu, where):
         raise DatasetError(f"{where}: element {eid!r}: {exc}") from None
 
 
+def _rows(reader):
+    """The reader's rows; a tokenizer error (a field over the limit, a bare carriage
+    return inside a line) names its line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DatasetError(f"line {reader.line_num}: {exc}") from None
+
+
 def _read_csv(text):
     reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
+        header = next(_rows(reader))
     except StopIteration:
         raise DatasetError("empty input: missing header row") from None
     if header != ["id", "mu", "nu"]:
         raise DatasetError(f"header must be exactly id,mu,nu, got {','.join(header)}")
     pairs = []
     seen = set()
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(_rows(reader), start=2):
         if not row:
             continue
         if len(row) != 3:
@@ -76,6 +85,10 @@ def _read_json(text):
         eid = record["id"]
         if not isinstance(eid, str) or not eid:
             raise DatasetError(f"{where}: id must be a nonempty string, got {eid!r}")
+        try:
+            eid.encode("utf-8")
+        except UnicodeEncodeError:
+            raise DatasetError(f"{where}: id must be valid Unicode, got {eid!r}") from None
         if eid in seen:
             raise DatasetError(f"{where}: duplicate element id {eid!r}")
         seen.add(eid)

@@ -296,6 +296,34 @@ class TestDiagnosticsAndDeterminism:
         assert main(["penta", str(path)]) == 1
         assert "JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "id,mu,nu\na,0.5,0.5\n" + "b" * 131_073 + ",0.2,0.3\n",
+                "error: line 3: field larger than field limit (131072)\n",
+            ),
+            (
+                "id,mu,nu\na,0.5,0.5\rb,0.2,0.3\n",
+                "error: line 2: new-line character seen in unquoted field",
+            ),
+        ],
+        ids=["field-over-the-limit", "bare-carriage-return"],
+    )
+    def test_csv_tokenizer_errors_name_the_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert main(["penta", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(message)
+
+    def test_json_id_with_a_lone_surrogate_is_a_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_text('[{"id": "ok", "mu": 0.5, "nu": 0.2}, {"id": "a\\ud800", "mu": 0, "nu": 0}]')
+        for argv in (["penta", str(path)], ["setop", "complement", str(path)]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err == "error: record 1: id must be valid Unicode, got 'a\\ud800'\n"
+
 
 class TestModuleEntryPoint:
     """``python -m pentafuzz`` writes the bytes cli.main writes, for every subcommand."""

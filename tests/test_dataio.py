@@ -103,6 +103,11 @@ class TestReadDataset:
             read_json('[{"id":"a","mu":0.1,"nu":0.2},{"id":"a","mu":0.1,"nu":0.2}]')
         assert "record 1" in str(err.value)
 
+    def test_json_ids_must_encode_as_utf8(self):
+        with pytest.raises(DatasetError) as err:
+            read_json('[{"id":"a\\udc80b","mu":0.1,"nu":0.2}]')
+        assert str(err.value) == "record 0: id must be valid Unicode, got 'a\\udc80b'"
+
     def test_leading_byte_order_mark_is_skipped(self):
         s = read_dataset(io.BytesIO(b"\xef\xbb\xbfid,mu,nu\nx,0.5,0.25\n"), "csv")
         assert s.universe == ("x",) and s.value("x") == BipolarValue(0.5, 0.25)

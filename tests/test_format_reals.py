@@ -3,9 +3,11 @@
 format_reals must return exactly [format_real(x, paper=p) for x in xs]:
 on pinned edge cases, on a seeded corpus of a million values built around
 the places where a fast formatter could go wrong, and on every finite
-float hypothesis draws.
+float hypothesis draws.  The JSON reports' numbers come from the same
+kernel and must be json.dumps(float(format_real(x, paper=p))).
 """
 
+import json
 import math
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pentafuzz.dataio import format_real, format_reals
+from pentafuzz.dataio import _lines, _real_cells, format_real, format_reals
 
 
 @pytest.mark.parametrize(
@@ -89,12 +91,37 @@ def _corpus(n: int, seed: int) -> np.ndarray:
     return values
 
 
-@pytest.mark.parametrize("paper", [False, True])
-def test_format_reals_equals_format_real_on_a_million_values(paper):
+@pytest.fixture(scope="module", params=[False, True])
+def corpus(request):
+    """(paper, the million values, format_real of each), built once per mode."""
+    paper = request.param
     xs = _corpus(1_000_000, seed=20151).tolist()
-    got = format_reals(xs, paper=paper)
-    want = [format_real(x, paper=paper) for x in xs]
-    assert got == want
+    return paper, xs, [format_real(x, paper=paper) for x in xs]
+
+
+def test_format_reals_equals_format_real_on_a_million_values(corpus):
+    paper, xs, want = corpus
+    assert format_reals(xs, paper=paper) == want
+
+
+def json_numbers(xs, paper):
+    return _lines(_real_cells(xs, paper, json_numbers=True))
+
+
+def test_json_numbers_equal_json_dumps_of_format_real_on_a_million_values(corpus):
+    paper, xs, texts = corpus
+    # One json.dumps call spells every number as json.dumps of each would.
+    want = json.dumps(list(map(float, texts)))[1:-1].split(", ")
+    assert json_numbers(xs, paper) == want
+
+
+@settings(max_examples=300)
+@given(st.lists(st.floats(), max_size=40), st.booleans())
+@example([0.5, 1.0, 123456.0, 999999.5, 0.99999951, 1e-4, 5e-324, -0.0, 0.0, 1e300], False)
+@example([0.5, 0.0, -0.0, -0.001, 99.9999999999999, 12.3, 1e20, math.nan, -math.inf], True)
+def test_json_numbers_equal_json_dumps_of_format_real(xs, paper):
+    want = [json.dumps(float(format_real(x, paper=paper))) for x in xs]
+    assert json_numbers(xs, paper) == want
 
 
 def _same_as_format_real(xs, paper):

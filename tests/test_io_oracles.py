@@ -7,7 +7,8 @@ same degree bits) or raise a DatasetError with the same message.
 
 write_report and write_dataset format whole columns at once and lay out
 CSV and JSON from one column schema; they must write the reference
-writers' bytes.
+writers' bytes.  The split tokenizer must read what csv.reader reads,
+and a table's rows must render alike whole or in blocks.
 """
 
 import csv
@@ -15,13 +16,20 @@ import io
 import json
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from pentafuzz import BipolarFuzzySet, BipolarValue, DatasetError
 from pentafuzz.dataio import (
     ElementRow,
     MeasureReport,
     ReportMetadata,
+    _Column,
+    _lines,
+    _real_cells,
+    _split_columns,
+    _table_rows,
+    _text_cells,
+    format_real,
     read_dataset,
     write_dataset,
     write_report,
@@ -37,8 +45,14 @@ GOOD_CELLS = st.one_of(
 BAD_CELLS = st.sampled_from(
     ["abc", "", "0.5x", "nan", "NaN", "inf", "-inf", "1.5", "-0.1", "2", "1e400", "0x1p-1"]
 )
-# Ids that need CSV quoting or JSON escaping.
-ODD_IDS = st.text(alphabet='ab,"\n é', min_size=1, max_size=4)
+# Ids that need CSV quoting or JSON escaping, or look like the NUL padding
+# of a byte matrix, a 4-byte UTF-8 character, and one id of 300 characters,
+# wider than any other cell in its column.
+LONG_ID = "long-" + "é\U0001F600" * 147 + "!"
+ODD_IDS = st.one_of(
+    st.text(alphabet='ab,"\n é\x00\r\t\\\U0001F600', min_size=1, max_size=4),
+    st.just(LONG_ID),
+)
 
 MUTATIONS = ("columns", "empty_id", "duplicate", "bad_cell", "odd_id", "blank", "none")
 
@@ -141,6 +155,36 @@ def test_json_reader_matches_the_record_loop(raw):
     assert_same_as_reference(raw, "json")
 
 
+# Texts for the split tokenizer: no '"' and no '\r', lines with any number
+# of commas, cells that are numbers, not numbers, or empty.
+PLAIN_ALPHABET = ",\n 0.5é\x00_ab\t\\\U0001F600"
+PLAIN_NUMBERS = st.one_of(
+    st.sampled_from(["0.5", "0", "1", ".5", " 0.25", "0_5", "5", "é", ""]),
+    st.text(alphabet=" 0.5é\x00_", max_size=4),
+)
+PLAIN_LINES = st.one_of(
+    st.text(alphabet=PLAIN_ALPHABET, max_size=12),
+    st.tuples(
+        st.text(alphabet="ab\x00é\t\\\U0001F600 _", max_size=3), PLAIN_NUMBERS, PLAIN_NUMBERS
+    ).map(",".join),
+)
+
+
+@settings(max_examples=400)
+@given(st.lists(PLAIN_LINES, max_size=8), st.sampled_from(["", "\n"]))
+def test_split_tokenizer_matches_csv_reader(lines, end):
+    text = "id,mu,nu\n" + "\n".join(lines) + end
+    rows = [row for row in list(csv.reader(io.StringIO(text)))[1:] if row]
+    if all(len(row) == 3 for row in rows):
+        assert _split_columns(text) == (tuple(map(list, zip(*rows))) if rows else ([], [], []))
+    else:
+        assert _split_columns(text) is None
+    # With CRLF line ends csv.reader reads the same rows, and the reader
+    # takes that route: the same set, or the same first error, either way.
+    read = lambda text: outcome(lambda: read_dataset(io.BytesIO(text.encode("utf-8")), "csv"))
+    assert read(text) == read(text.replace("\n", "\r\n"))
+
+
 def test_the_first_bad_line_is_named_whatever_the_check():
     # Line 3 has a bad number; line 4 a duplicate id; line 5 too few columns.
     raw = b"id,mu,nu\na,0.1,0.2\nb,x,0.2\na,0.1,0.2\nc,0.1\n"
@@ -156,7 +200,7 @@ REALS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from(
         [0.0, -0.0, 1 / 3, 2 / 3, 0.19999999999999996, 0.1234565, 9.999995, -0.001, float("nan")]
-        + [float("inf"), float("-inf")]
+        + [float("inf"), float("-inf"), 5e-324, 1e300]
     ),
 )
 # Paper mode draws more values of moderate size, where its two decimals show.
@@ -203,8 +247,31 @@ def written(write, value, fmt):
         return type(exc)
 
 
+# Ids that look like the NUL padding of a byte matrix, beside the longest
+# id, and reals that mix short texts with the longest of their mode.
+PADDING_IDS = ["\x00", "a\x00\x00", "b", LONG_ID]
+MIXED_REALS = [0.5, 5e-324, 1e300, 0.25]
+
+
+def padded_report(paper):
+    rows = tuple(
+        ElementRow(eid, x, 0.5, 0.25, y, 1e300, 5e-324, -x, 0.0, -0.0, "fuzzy", (y,), ())
+        for eid, x, y in zip(PADDING_IDS, MIXED_REALS, MIXED_REALS[::-1])
+    )
+    return MeasureReport(
+        ReportMetadata("\x00", "0.1.0", cardinality_kinds=("pe",), paper_rounding=paper),
+        rows,
+        tuple(zip(PADDING_IDS, MIXED_REALS)),
+        tuple(zip(PADDING_IDS, PADDING_IDS[1:], MIXED_REALS)),
+    )
+
+
 @settings(max_examples=300)
 @given(reports(), st.sampled_from(["csv", "json"]))
+@example(padded_report(False), "csv")
+@example(padded_report(False), "json")
+@example(padded_report(True), "csv")
+@example(padded_report(True), "json")
 def test_write_report_matches_the_reference_writer(report, fmt):
     assert written(write_report, report, fmt) == written(reference_write_report, report, fmt)
 
@@ -214,6 +281,41 @@ def test_write_report_matches_the_reference_writer(report, fmt):
     st.lists(st.tuples(NAMES, st.floats(0.0, 1.0), st.floats(0.0, 1.0)), unique_by=lambda r: r[0]),
     st.sampled_from(["csv", "json"]),
 )
+@example([(eid, mu, 0.25) for eid, mu in zip(PADDING_IDS, [0.5, 5e-324, 1.0, 5e-324])], "csv")
+@example([(eid, mu, 0.25) for eid, mu in zip(PADDING_IDS, [0.5, 5e-324, 1.0, 5e-324])], "json")
 def test_write_dataset_matches_the_reference_writer(rows, fmt):
     s = BipolarFuzzySet((eid, BipolarValue(mu, nu)) for eid, mu, nu in rows)
     assert write_dataset(s, fmt) == reference_write_dataset(s, fmt)
+
+
+def test_one_long_text_does_not_widen_the_matrix():
+    # The other rows keep their own width; the long text is spliced in.
+    reals = [0.5] * 1000 + [5e-324]
+    cells = _real_cells(reals, paper=False)
+    assert cells.chars.shape == (1001, len("-0.500000")) and set(cells.long) == {1000}
+    assert _lines(cells) == [format_real(x) for x in reals]
+    ids = [f"e{k}" for k in range(1000)] + [LONG_ID]
+    cells = _text_cells(ids)
+    assert cells.chars.shape[1] <= 10 and set(cells.long) == {1000}
+    assert _lines(cells) == ids
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(st.tuples(NAMES, REALS, PAPER_REALS), max_size=16),
+    st.sampled_from(["csv", "json"]),
+    st.booleans(),
+)
+@example(list(zip(PADDING_IDS, MIXED_REALS, MIXED_REALS)) * 3, "csv", False)
+def test_rows_render_alike_in_blocks(rows, fmt, paper):
+    # Groundwork for streamed output: a row's bytes depend on that row only.
+    cells = list(map(list, zip(*rows))) or [[], [], []]
+    reals = (False, True, True)
+    columns = [_Column(name, col, real) for name, col, real in zip("abc", cells, reals)]
+    whole = _table_rows(columns, fmt, paper)
+    for size in (1, 7, max(len(rows), 1)):
+        blocks = [
+            [col._replace(cells=col.cells[k : k + size]) for col in columns]
+            for k in range(0, len(rows), size)
+        ]
+        assert b"".join(_table_rows(block, fmt, paper) for block in blocks) == whole
