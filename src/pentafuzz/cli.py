@@ -8,6 +8,8 @@ data, domain violations, an unwritable --out, audit disagreement under
 from __future__ import annotations
 
 import argparse
+import functools
+import os
 import sys
 from pathlib import Path
 
@@ -15,14 +17,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import NORM_PAIRS, BipolarFuzzySet, SetOpKind, set_op
-from .dataio import (
-    ReportMetadata,
-    _element_table,
-    _write_report,
-    read_dataset,
-    write_audit,
-    write_dataset,
-)
+from .dataio import ReportMetadata, _write_report, read_dataset, write_audit, write_dataset
 from .errors import DatasetError, PentafuzzError
 from .kernel import classify_arrays, decompose
 from .measures import (
@@ -66,19 +61,20 @@ def _element_columns(dataset, card_kinds=(), entropy_kinds=(), vector_norm=Vecto
     d = decompose(*dataset.arrays())
     measures = [cardinality_array(k, d) for k in card_kinds]
     measures += [entropy_array(k, d, vector_norm) for k in entropy_kinds]
-    classes = [c.value for c in classify_arrays(d.mu, d.nu)]
-    return dataset.universe, d, classes, measures
+    return dataset.universe, d, classify_arrays(d.mu, d.nu), measures
 
 
 def _report(args, elements=(), aggregates=(), pairs=None, **metadata) -> bytes:
     """A measure report on the inputs, named after their stems, in the chosen format."""
+    # A stem's bytes that are not UTF-8 are written as backslash escapes, such as \xff.
+    stems = (os.fsencode(path.stem).decode("utf-8", "backslashreplace") for path in args.inputs)
     meta = ReportMetadata(
-        dataset="|".join(path.stem for path in args.inputs),
+        dataset="|".join(stems),
         tool_version=__version__,
         paper_rounding=args.paper_rounding,
         **metadata,
     )
-    return _write_report(meta, _element_table(meta, *elements), aggregates, pairs, args.format)
+    return _write_report(meta, elements, aggregates, pairs, args.format)
 
 
 def _penta(args) -> bytes:
@@ -155,6 +151,7 @@ def _audit(args) -> bytes:
     return write_audit(report, args.format)
 
 
+@functools.cache  # built on the first call, not at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pentafuzz",

@@ -45,16 +45,15 @@ __all__ = [
 _FORMATS = ("csv", "json")
 
 
-def _check_format(fmt: str) -> str:
+def _check_format(fmt: str) -> None:
     if fmt not in _FORMATS:
         raise ValidationError(f"unknown format {fmt!r}; choose one of {_FORMATS}")
-    return fmt
 
 
-def format_real(x: float, *, sig: int = 6, paper: bool = False) -> str:
+def format_real(x: float, *, paper: bool = False) -> str:
     """Render a real in fixed decimal notation.
 
-    Default: `sig` significant digits, half-even.  Paper mode: exactly two
+    Default: six significant digits, half-even.  Paper mode: exactly two
     decimals, truncated toward zero; binary noise is snapped at twelve
     decimals first so a stored 0.19999999999999996 truncates as 0.2, not
     as 0.19.  Both modes print nan as NaN and infinities as Infinity and
@@ -70,7 +69,7 @@ def format_real(x: float, *, sig: int = 6, paper: bool = False) -> str:
         return str(snapped.quantize(Decimal("0.01"), rounding=ROUND_DOWN, context=exact))
     if d == 0:
         return "0"
-    q = d.quantize(Decimal(1).scaleb(d.adjusted() - sig + 1), rounding=ROUND_HALF_EVEN)
+    q = d.quantize(Decimal(1).scaleb(d.adjusted() - 5), rounding=ROUND_HALF_EVEN)
     return format(q, "f")
 
 
@@ -242,17 +241,12 @@ def _render_rows(pieces: list) -> bytes:
     out = chars[mask].tobytes()
     if not long:
         return out
-    # Splice the long texts in where their cells start in the compacted rows:
+    # Splice each long text in where its cell starts in the compacted rows:
     # after the bytes of the rows above and of the row's own earlier pieces.
-    long.sort()
-    rows, starts = (np.array(column) for column in list(zip(*long))[:2])
     row_start = np.concatenate(([0], np.cumsum(mask.sum(1))))
-    offsets = row_start[rows]
-    for at in np.unique(starts).tolist():
-        here = starts == at
-        offsets[here] += mask[rows[here], :at].sum(1)
     parts, pos = [], 0
-    for offset, (_, _, text) in zip(offsets.tolist(), long):
+    for r, at, text in sorted(long):
+        offset = int(row_start[r] + mask[r, :at].sum())
         parts += [out[pos:offset], text]
         pos = offset
     parts.append(out[pos:])
@@ -314,7 +308,7 @@ def _split_columns(text: str) -> tuple[list[str], list[str], list[str]] | None:
 
     For a text with no '"' and no '\\r', csv.reader splits at every comma
     and newline and skips blank lines, and so does this.  None unless each
-    of those lines has exactly two commas and fits csv's field limit.
+    of those lines has exactly two commas and fits csv's field limit, as in a valid text.
     """
     lines = text.split("\n")[1:]
     if "" in lines:
@@ -328,44 +322,35 @@ def _split_columns(text: str) -> tuple[list[str], list[str], list[str]] | None:
     return cells[0::3], cells[1::3], cells[2::3]
 
 
-def _check_csv_rows(records: list[list[str]]) -> None:
-    """The row checks, from the first data line on; raises the first that fails."""
+def _check_csv(text: str) -> None:
+    """Every check of a CSV text, from the top: the header's, then each data row's in
+    order, each tokenizer error at its line; raises the first that fails."""
+    reader = csv.reader(io.StringIO(text))
     seen: set[str] = set()
-    for lineno, row in enumerate(records, start=2):
-        if row:
-            _check_csv_row(lineno, row, seen)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise DatasetError("empty input: missing header row")
+        if header != ["id", "mu", "nu"]:
+            raise DatasetError(f"header must be exactly id,mu,nu, got {','.join(header)}")
+        for lineno, row in enumerate(reader, start=2):
+            if row:  # blank lines are skipped
+                _check_csv_row(lineno, row, seen)
+    except csv.Error as exc:  # a field over the limit, or a bare \r inside an unquoted line
+        raise DatasetError(f"line {reader.line_num}: {exc}") from None
 
 
 def _read_csv(text: str) -> BipolarFuzzySet:
-    reader = csv.reader(io.StringIO(text))
-
-    def csv_error(exc: csv.Error) -> DatasetError:
-        # A field over the limit, or a bare \r inside an unquoted line.
-        return DatasetError(f"line {reader.line_num}: {exc}")
-
-    def rest() -> list[list[str]]:
-        records: list[list[str]] = []
+    if '"' not in text and "\r" not in text and text.partition("\n")[0] == "id,mu,nu":
+        columns = _split_columns(text)
+    else:
         try:
-            records.extend(reader)
-        except csv.Error as exc:
-            _check_csv_rows(records)  # a bad line above it comes first
-            raise csv_error(exc) from None
-        return records
-
-    try:
-        header = next(reader, None)
-    except csv.Error as exc:
-        raise csv_error(exc) from None
-    if header is None:
-        raise DatasetError("empty input: missing header row")
-    if header != ["id", "mu", "nu"]:
-        raise DatasetError(f"header must be exactly id,mu,nu, got {','.join(header)}")
-    records = None
-    columns = _split_columns(text) if '"' not in text and "\r" not in text else None
-    if columns is None:
-        records = rest()
-        rows = [row for row in records if row]  # blank lines are skipped
-        if set(map(len, rows)) <= {3}:
+            records = list(csv.reader(io.StringIO(text)))
+        except csv.Error:  # the walk below names the line
+            records = []
+        rows = [row for row in records[1:] if row]  # blank lines are skipped
+        columns = None
+        if records[:1] == [["id", "mu", "nu"]] and set(map(len, rows)) <= {3}:
             columns = tuple(zip(*rows)) if rows else ((), (), ())
     # Column-wise checks; the set checks ids and degree ranges per array.
     if columns is not None:
@@ -378,8 +363,8 @@ def _read_csv(text: str) -> BipolarFuzzySet:
                 return BipolarFuzzySet._from_arrays(ids, mu, nu)
             except ValueError:  # a bad number, id or degree: found below
                 pass
-    # Something failed: the row checks name the first bad line.
-    _check_csv_rows(rest() if records is None else records)
+    # Something failed: the walk from the top names the first bad line.
+    _check_csv(text)
     raise AssertionError("a row failed a column check but passes the row checks")
 
 
@@ -465,14 +450,12 @@ _CSV_SPECIALS = re.compile(r'[,"\r\n]')
 
 
 def _csv_field(text: str) -> str:
-    # A field with a special character is quoted exactly as csv.writer does.
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow([text, ""])
-    return out.getvalue()[:-2]
+    # Quoted as the csv module quotes a field holding ',', '"', '\r' or '\n'.
+    return '"' + text.replace('"', '""') + '"'
 
 
 def _csv_texts(cells: Sequence) -> list[str]:
-    texts = list(map(str, cells))
+    texts = ["" if c is None else str(c) for c in cells]  # None is empty, as in the csv module
     if _CSV_SPECIALS.search("".join(texts)) is None:
         return texts
     return [_csv_field(t) if _CSV_SPECIALS.search(t) else t for t in texts]
@@ -526,6 +509,18 @@ def _json_records(columns: list[_Column], paper: bool, level: int) -> bytes:
 def _nested_json(value) -> bytes:
     # json.dumps(indent=2) of a value one level down in the document.
     return json.dumps(value, indent=2).replace("\n", "\n  ").encode("ascii")
+
+
+def _json_object(members: list[tuple[str, bytes]]) -> bytes:
+    """A document laid out as json.dumps(indent=2) of a dict, from its keys and the
+    bytes of their values, each already laid out one level down."""
+    body = b",\n".join(b'  "%s": %s' % (key.encode("ascii"), value) for key, value in members)
+    return b"{\n" + body + b"\n}\n"
+
+
+def _comments(pairs: list[tuple[str, object]]) -> bytes:
+    """The '# key=value' lines a CSV report opens with."""
+    return "".join(f"# {key}={value}\n" for key, value in pairs).encode("utf-8")
 
 
 def write_dataset(s: BipolarFuzzySet, fmt: str) -> bytes:
@@ -615,17 +610,18 @@ def _metadata_pairs(meta: ReportMetadata) -> list[tuple[str, object]]:
 
 
 def _write_report(meta: ReportMetadata, elements, aggregates, pairs, fmt: str) -> bytes:
-    """The one measure report body: metadata, the element table, the (name, value)
+    """The one measure report body: metadata, the element table from its columns
+    (ids, penta, classes, measures: _element_table's arguments), the (name, value)
     aggregates and, unless pairs is None, the pair columns (a, b, value)."""
     paper = meta.paper_rounding
+    elements = _element_table(meta, *elements)
     names = [name for name, _ in aggregates]
     values = [value for _, value in aggregates]
     if pairs is not None:
         pairs = list(map(_Column, ("a", "b", "value"), pairs, (False, False, True)))
 
     if fmt == "csv":
-        parts = [f"# {key}={value}\n".encode("utf-8") for key, value in _metadata_pairs(meta)]
-        parts.append(_csv_table(elements, paper))
+        parts = [_comments(_metadata_pairs(meta)), _csv_table(elements, paper)]
         if aggregates:
             totals = [_Column("aggregate", names, False), _Column("value", values, True)]
             parts += [b"\n", _csv_table(totals, paper)]
@@ -635,14 +631,12 @@ def _write_report(meta: ReportMetadata, elements, aggregates, pairs, fmt: str) -
 
     # A dict: a repeated aggregate name keeps its last value.
     aggregate_doc = dict(zip(names, map(float, format_reals(values, paper=paper))))
-    members = [
-        (b"metadata", _nested_json(dict(_metadata_pairs(meta)))),
-        (b"elements", _json_records(elements, paper, level=1)),
-        (b"aggregates", _nested_json(aggregate_doc)),
-        (b"similarity", b"null" if pairs is None else _json_records(pairs, paper, level=1)),
-    ]
-    body = b",\n".join(b'  "%s": %s' % member for member in members)
-    return b"{\n" + body + b"\n}\n"
+    return _json_object([
+        ("metadata", _nested_json(dict(_metadata_pairs(meta)))),
+        ("elements", _json_records(elements, paper, level=1)),
+        ("aggregates", _nested_json(aggregate_doc)),
+        ("similarity", b"null" if pairs is None else _json_records(pairs, paper, level=1)),
+    ])
 
 
 def write_report(report: MeasureReport, fmt: str) -> bytes:
@@ -661,38 +655,26 @@ def write_report(report: MeasureReport, fmt: str) -> bytes:
         measures += [[getattr(row, field)[j] for row in rows] for j in range(len(kinds))]
     names = ("element_id", *PentaArrays._fields, "value_class")
     ids, *penta, classes = (list(map(attrgetter(name), rows)) for name in names)
-    elements = _element_table(meta, ids, penta, classes, measures)
     pairs = None if report.similarity is None else list(zip(*report.similarity)) or [()] * 3
-    return _write_report(meta, elements, report.aggregates, pairs, fmt)
+    return _write_report(meta, (ids, penta, classes, measures), report.aggregates, pairs, fmt)
+
+
+_AUDIT_FIELDS = ("axiom", "verdict", "checked", "witness", "note")
 
 
 def write_audit(report: AuditReport, fmt: str) -> bytes:
-    """Serialize an axiom audit report."""
+    """Serialize an axiom audit report: its kind, family and overall verdict, and a
+    row per axiom; in CSV the overall verdict is the table's last row."""
     _check_format(fmt)
+    verdict = {True: "PASS", False: "FAIL"}
+    head = [("kind", report.kind), ("family", report.family)]
+    rows = [(r.axiom, verdict[r.passed], r.checked, r.witness, r.note) for r in report.results]
     if fmt == "csv":
-        out = io.StringIO()
-        out.write(f"# kind={report.kind}\n# family={report.family}\n")
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["axiom", "verdict", "checked", "witness", "note"])
-        for r in report.results:
-            writer.writerow(
-                [r.axiom, "PASS" if r.passed else "FAIL", r.checked, r.witness or "", r.note or ""]
-            )
-        writer.writerow(["overall", "PASS" if report.passed else "FAIL", "", "", ""])
-        return out.getvalue().encode("utf-8")
-    doc = {
-        "kind": report.kind,
-        "family": report.family,
-        "overall": "PASS" if report.passed else "FAIL",
-        "axioms": [
-            {
-                "axiom": r.axiom,
-                "verdict": "PASS" if r.passed else "FAIL",
-                "checked": r.checked,
-                "witness": r.witness,
-                "note": r.note,
-            }
-            for r in report.results
-        ],
-    }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+        rows.append(("overall", verdict[report.passed], None, None, None))
+    cells = list(zip(*rows)) or [()] * len(_AUDIT_FIELDS)
+    table = list(map(_Column, _AUDIT_FIELDS, cells, repeat(False)))
+    if fmt == "csv":
+        return _comments(head) + _csv_table(table, paper=False)
+    head.append(("overall", verdict[report.passed]))
+    members = [(key, _nested_json(value)) for key, value in head]
+    return _json_object(members + [("axioms", _json_records(table, paper=False, level=1))])

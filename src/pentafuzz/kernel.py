@@ -369,10 +369,11 @@ def decompose(mu, nu) -> PentaArrays:
 
 
 _CLASSES = (ValueClass.FUZZY, ValueClass.INTUITIONISTIC, ValueClass.PARACONSISTENT)
+_CLASS_TEXTS = np.array([c.value for c in _CLASSES], dtype=object)
 
 
-def classify_arrays(mu: np.ndarray, nu: np.ndarray) -> list[ValueClass]:
-    """classify for every entry of two degree arrays, in order."""
+def classify_arrays(mu: np.ndarray, nu: np.ndarray) -> list[str]:
+    """classify(...).value for every entry of two degree arrays, in order."""
     total = mu + nu
     code = np.where(np.abs(total - 1.0) <= EPSILON, 0, np.where(total < 1.0, 1, 2))
-    return [_CLASSES[k] for k in code.tolist()]
+    return _CLASS_TEXTS[code].tolist()

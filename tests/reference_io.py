@@ -8,8 +8,10 @@ non-ASCII digits that read_dataset now rejects; the oracle properties
 keep those out of their number cells.
 
 The writers format one value at a time with format_real and lay the
-output out with the csv and json modules; write_dataset and write_report
-format whole columns at once and must write the same bytes.
+output out with the csv and json modules; write_dataset, write_report and
+write_audit format whole columns at once and must write the same bytes.
+A CSV row is quoted as csv.writer quotes it with CRLF line ends, which
+quotes a field holding a bare carriage return, and ends in a newline.
 """
 
 import csv
@@ -111,10 +113,24 @@ def reference_read(raw: bytes, fmt: str) -> BipolarFuzzySet:
     return _read_csv(text) if fmt == "csv" else _read_json(text)
 
 
+class _RowWriter:
+    """csv.writer(out, lineterminator="\\r\\n") with each row's final CRLF written as
+    a newline.  csv.writer quotes the characters of its line terminator, so a bare
+    carriage return is quoted; with a newline terminator it would not be."""
+
+    def __init__(self, out):
+        self.out = out
+
+    def writerow(self, row):
+        line = io.StringIO()
+        csv.writer(line, lineterminator="\r\n").writerow(row)
+        self.out.write(line.getvalue().removesuffix("\r\n") + "\n")
+
+
 def reference_write_dataset(s, fmt):
     if fmt == "csv":
         out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
+        writer = _RowWriter(out)
         writer.writerow(["id", "mu", "nu"])
         for eid, val in s:
             writer.writerow([eid, format_real(val.mu), format_real(val.nu)])
@@ -141,7 +157,7 @@ def reference_write_report(report, fmt):
         out = io.StringIO()
         for key, value in _metadata_pairs(report.metadata):
             out.write(f"# {key}={value}\n")
-        writer = csv.writer(out, lineterminator="\n")
+        writer = _RowWriter(out)
         writer.writerow(_element_header(report.metadata))
         for row in report.elements:
             writer.writerow(
@@ -193,6 +209,36 @@ def reference_write_report(report, fmt):
         else [
             {"a": left, "b": right, "value": float(fmt_num(value))}
             for left, right, value in report.similarity
+        ],
+    }
+    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+
+def reference_write_audit(report, fmt):
+    if fmt == "csv":
+        out = io.StringIO()
+        out.write(f"# kind={report.kind}\n# family={report.family}\n")
+        writer = _RowWriter(out)
+        writer.writerow(["axiom", "verdict", "checked", "witness", "note"])
+        for r in report.results:
+            writer.writerow(
+                [r.axiom, "PASS" if r.passed else "FAIL", r.checked, r.witness or "", r.note or ""]
+            )
+        writer.writerow(["overall", "PASS" if report.passed else "FAIL", "", "", ""])
+        return out.getvalue().encode("utf-8")
+    doc = {
+        "kind": report.kind,
+        "family": report.family,
+        "overall": "PASS" if report.passed else "FAIL",
+        "axioms": [
+            {
+                "axiom": r.axiom,
+                "verdict": "PASS" if r.passed else "FAIL",
+                "checked": r.checked,
+                "witness": r.witness,
+                "note": r.note,
+            }
+            for r in report.results
         ],
     }
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")

@@ -324,6 +324,15 @@ class TestDiagnosticsAndDeterminism:
             err = capsys.readouterr().err
             assert err == "error: record 1: id must be valid Unicode, got 'a\\ud800'\n"
 
+    def test_a_file_name_that_is_not_utf8_is_escaped(self, tmp_path, capsysbinary):
+        path = tmp_path / os.fsdecode(b"\xff.csv")
+        path.write_text("id,mu,nu\na,0.8,0.2\n")
+        assert main(["penta", str(path)]) == 0
+        assert capsysbinary.readouterr().out.startswith(b"# dataset=\\xff\n")
+        assert main(["penta", "--format", "json", str(path)]) == 0
+        doc = json.loads(capsysbinary.readouterr().out.decode())
+        assert doc["metadata"]["dataset"] == "\\xff"
+
 
 class TestModuleEntryPoint:
     """``python -m pentafuzz`` writes the bytes cli.main writes, for every subcommand."""

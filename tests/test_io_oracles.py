@@ -5,10 +5,11 @@ rows to name the first bad one.  On every input drawn here, valid or
 mutated, it must return the set the reference reader returns (same ids,
 same degree bits) or raise a DatasetError with the same message.
 
-write_report and write_dataset format whole columns at once and lay out
-CSV and JSON from one column schema; they must write the reference
-writers' bytes.  The split tokenizer must read what csv.reader reads,
-and a table's rows must render alike whole or in blocks.
+write_report, write_dataset and write_audit format whole columns at once
+and lay out CSV and JSON from one column schema; they must write the
+reference writers' bytes, and read_dataset must read write_dataset's
+back.  The split tokenizer must read what csv.reader reads, and a
+table's rows must render alike whole or in blocks.
 """
 
 import csv
@@ -31,10 +32,17 @@ from pentafuzz.dataio import (
     _text_cells,
     format_real,
     read_dataset,
+    write_audit,
     write_dataset,
     write_report,
 )
-from reference_io import reference_read, reference_write_dataset, reference_write_report
+from pentafuzz.measures import AuditReport, AxiomResult
+from reference_io import (
+    reference_read,
+    reference_write_audit,
+    reference_write_dataset,
+    reference_write_report,
+)
 
 GOOD_CELLS = st.one_of(
     st.floats(min_value=0.0, max_value=1.0).map(repr),
@@ -286,6 +294,50 @@ def test_write_report_matches_the_reference_writer(report, fmt):
 def test_write_dataset_matches_the_reference_writer(rows, fmt):
     s = BipolarFuzzySet((eid, BipolarValue(mu, nu)) for eid, mu, nu in rows)
     assert write_dataset(s, fmt) == reference_write_dataset(s, fmt)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(
+        st.tuples(ODD_IDS, st.floats(0.0, 1.0), st.floats(0.0, 1.0)), unique_by=lambda r: r[0]
+    ),
+    st.sampled_from(["csv", "json"]),
+)
+@example([("a\rb", 0.5, 0.25), ("\r", 0.0, 1.0)], "csv")
+def test_write_dataset_reads_back(rows, fmt):
+    # Every id survives a round trip, a bare carriage return among them, and
+    # each degree comes back as the number its text says.
+    s = BipolarFuzzySet((eid, BipolarValue(mu, nu)) for eid, mu, nu in rows)
+    back = read_dataset(io.BytesIO(write_dataset(s, fmt)), fmt)
+    assert back.universe == s.universe
+    for got, sent in zip(back.arrays(), s.arrays()):
+        assert got.tolist() == [float(format_real(x)) for x in sent.tolist()]
+
+
+OPTIONAL_NAMES = st.one_of(st.none(), NAMES)
+
+
+@st.composite
+def audit_reports(draw):
+    results = tuple(
+        AxiomResult(
+            draw(OPTIONAL_NAMES),
+            draw(st.booleans()),
+            draw(st.integers(min_value=0, max_value=10**12)),
+            draw(OPTIONAL_NAMES),
+            draw(OPTIONAL_NAMES),
+        )
+        for _ in range(draw(st.integers(min_value=0, max_value=6)))
+    )
+    return AuditReport(draw(NAMES), draw(NAMES), results)
+
+
+@settings(max_examples=200)
+@given(audit_reports(), st.sampled_from(["csv", "json"]))
+@example(AuditReport("pe", "card", ()), "json")
+@example(AuditReport("pe", "card", ()), "csv")
+def test_write_audit_matches_the_reference_writer(report, fmt):
+    assert written(write_audit, report, fmt) == written(reference_write_audit, report, fmt)
 
 
 def test_one_long_text_does_not_widen_the_matrix():
