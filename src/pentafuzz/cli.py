@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import os
 import sys
 from pathlib import Path
@@ -18,12 +19,13 @@ import numpy as np
 from . import __version__
 from .algebra import NORM_PAIRS, BipolarFuzzySet, SetOpKind, set_op
 from .dataio import ReportMetadata, _write_report, read_dataset, write_audit, write_dataset
-from .errors import DatasetError, PentafuzzError
+from .errors import DatasetError, PentafuzzError, ValidationError
 from .kernel import classify_arrays, decompose
 from .measures import (
     CardinalityKind,
     EntropyKind,
     VectorNorm,
+    audit_sample,
     axiom_audit,
     border_cardinality,
     cardinality_array,
@@ -36,6 +38,12 @@ from .metrics import Aggregation, DistanceKind, _pairwise, set_distance
 
 # The audit's measure families, by their --family name.
 _FAMILIES = {"card": CardinalityKind, "entropy": EntropyKind}
+
+# The audit's sampling flags, by axiom_audit parameter, with its defaults.
+_SAMPLE_DEFAULTS = {
+    name: inspect.signature(axiom_audit).parameters[name].default
+    for name in ("seed", "n_random", "grid_step")
+}
 
 
 def _values(*enums) -> list[str]:
@@ -142,13 +150,19 @@ def _audit(args) -> bytes:
     if args.family not in (None, *owners):
         args.usage_error(f"--kind {args.kind} is in the {owners[0]} family, not {args.family}")
     kind = _FAMILIES[args.family or owners[0]](args.kind)
-    report = axiom_audit(kind, vector_norm=_vector_norm(args))
+    sample = {name: getattr(args, name) for name in _SAMPLE_DEFAULTS}
+    try:
+        drawn = audit_sample(**sample)
+    except ValidationError as exc:
+        args.usage_error(str(exc))
+    report = axiom_audit(kind, vector_norm=_vector_norm(args), **sample)
     if args.expect_paper and not matches_paper_pattern(report):
         failed = list(report.failed_axioms())
         print(f"error: audit of {report.kind} ({report.family}) disagrees with the published "
               f"pass/fail pattern: failed axioms {failed}", file=sys.stderr)
         args.status = 1
-    return write_audit(report, args.format)
+    # A sample other than the default is recorded, so the report can be re-run.
+    return write_audit(report, args.format, () if sample == _SAMPLE_DEFAULTS else drawn)
 
 
 @functools.cache  # built on the first call, not at import
@@ -202,6 +216,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vector-norm", choices=_values(VectorNorm), default=None)
     p.add_argument("--expect-paper", action="store_true",
                    help="exit 1 when the audit disagrees with the published pass/fail pattern")
+    p.add_argument("--seed", type=int, default=_SAMPLE_DEFAULTS["seed"],
+                   help="seed of the random sample, a non-negative integer (default 0)")
+    p.add_argument("--n-random", type=int, default=_SAMPLE_DEFAULTS["n_random"],
+                   help="random sample points, 0 to 10000000 (default 100000)")
+    p.add_argument("--grid-step", type=float, default=_SAMPLE_DEFAULTS["grid_step"],
+                   help="grid spacing, 1/n for a whole n from 1 to 1000 (default 0.01)")
 
     return parser
 

@@ -181,13 +181,12 @@ def _real_cells(values, paper: bool, json_numbers: bool = False) -> _Cells:
             slow = ~((ax >= _POW10[0]) & (ax < 1e6)) | tie
             slow &= ~zero
             decimals[slow | zero] = 0  # slow entries get no digits here
-            frac_width = int(decimals.max()) if x.size else 0
+            # A JSON number has at least one decimal.
+            frac_width = max(int(decimals.max()) if x.size else 0, int(json_numbers))
             # Every entry in units of 10**-frac_width, so one divisor splits them all.
             fixed = np.rint(np.where(slow, 0.0, p)).astype(np.int64)
             fixed *= np.take(_POW10_INT, frac_width - decimals)
             negative = x < 0.0
-    if json_numbers:
-        frac_width = max(frac_width, 1)
     whole, frac = np.divmod(fixed, _POW10_INT[frac_width])
     int_width = len(str(int(whole.max()))) if x.size else 1
     int_digits = sum((whole >= _POW10_INT[j] for j in range(1, int_width)), start=1)
@@ -662,12 +661,16 @@ def write_report(report: MeasureReport, fmt: str) -> bytes:
 _AUDIT_FIELDS = ("axiom", "verdict", "checked", "witness", "note")
 
 
-def write_audit(report: AuditReport, fmt: str) -> bytes:
+def write_audit(report: AuditReport, fmt: str, sample=()) -> bytes:
     """Serialize an axiom audit report: its kind, family and overall verdict, and a
-    row per axiom; in CSV the overall verdict is the table's last row."""
+    row per axiom; in CSV the overall verdict is the table's last row.
+
+    sample, (key, value) pairs such as measures.audit_sample returns, is
+    written after the family.
+    """
     _check_format(fmt)
     verdict = {True: "PASS", False: "FAIL"}
-    head = [("kind", report.kind), ("family", report.family)]
+    head = [("kind", report.kind), ("family", report.family), *sample]
     rows = [(r.axiom, verdict[r.passed], r.checked, r.witness, r.note) for r in report.results]
     if fmt == "csv":
         rows.append(("overall", verdict[report.passed], None, None, None))

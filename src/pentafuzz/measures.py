@@ -16,6 +16,8 @@ package documents which measures violate which axioms.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
@@ -42,6 +44,7 @@ __all__ = [
     "EntropyKind",
     "EntropyResult",
     "VectorNorm",
+    "audit_sample",
     "axiom_audit",
     "border_cardinality",
     "cardinality_array",
@@ -300,14 +303,29 @@ _LM_MU_NU = {"T": (1.0, 0.0), "F": (0.0, 1.0), "U": (0.0, 0.0), "C": (1.0, 1.0),
 _GROWTH_STEPS = ((0.5, 0.5), (0.0, 0.5), (0.5, 1.0), (1.0, 0.0), (0.0, 0.75), (0.25, 1.0))
 
 
+def _screened(a, b, ok, scaled):
+    """Finish a mixed-tolerance test that ok made at the flat tolerance.
+
+    The scale max(1, |a|, |b|) is at least 1, so an entry that passes at
+    the flat tolerance passes the scaled test too; only the entries ok
+    rejects are tested again, by scaled(a, b, scale), at their own scale.
+    """
+    redo = np.flatnonzero(~ok)
+    a, b = a[redo], b[redo]
+    ok[redo] = scaled(a, b, np.maximum(1.0, np.maximum(np.abs(a), np.abs(b))))
+    return ok
+
+
 def _mixed_close(a, b, tol: float = EPSILON):
-    scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-    return np.abs(a - b) <= tol * scale
+    """|a - b| <= tol * max(1, |a|, |b|), elementwise."""
+    return _screened(a, b, np.abs(a - b) <= tol, lambda a, b, scale: np.abs(a - b) <= tol * scale)
 
 
 def _mixed_le(a, b, tol: float = EPSILON):
-    scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-    return a <= b + tol * scale
+    """a <= b + tol * max(1, |a|, |b|), elementwise."""
+    # b = -inf goes to the scaled test: there -inf + inf is nan, so (-inf, -inf) fails.
+    ok = (a <= b + tol) & (b > -np.inf)
+    return _screened(a, b, ok, lambda a, b, scale: a <= b + tol * scale)
 
 
 @dataclass(frozen=True)
@@ -389,11 +407,13 @@ def _slice_probe_result(measure: _Measure, axiom: str, base, on_base, directions
     empty_slices = []
 
     def trials():
-        # One slice at a time: each probe holds arrays the size of the sample.
+        # One slice at a time, gathered to the entries its probes can check:
+        # partner zero, ambiguity to spend, value in the domain.
         for comp, direction in directions.items():
-            elig = (partners[comp] == 0.0) & (i > 1e-12) & lo_in
+            at = np.flatnonzero((partners[comp] == 0.0) & (i > 1e-12) & lo_in)
+            start, lo_at, i_at = [x[at] for x in base], lo[at], i[at]
             probes = [
-                _probe(measure, base, lo, comp, direction, elig, frac * i) for frac in (0.5, 1.0)
+                _probe(measure, start, lo_at, comp, direction, frac * i_at) for frac in (0.5, 1.0)
             ]
             if not any(mask.any() for mask, _, _ in probes):
                 empty_slices.append(comp)
@@ -406,8 +426,8 @@ def _slice_probe_result(measure: _Measure, axiom: str, base, on_base, directions
     return result
 
 
-def _probe(measure: _Measure, base, lo, comp: str, direction: str, elig, delta):
-    """Trial: index comp raised by delta at the eligible entries."""
+def _probe(measure: _Measure, base, lo, comp: str, direction: str, delta):
+    """Trial: index comp raised by delta at every entry of base."""
     hi, hi_in = _evaluated(measure, [x + delta if n == comp else x for n, x in zip("tfuc", base)])
     ok = _mixed_le(lo, hi) if direction == "up" else _mixed_le(hi, lo)
 
@@ -418,21 +438,24 @@ def _probe(measure: _Measure, base, lo, comp: str, direction: str, elig, delta):
             f"moved value from {float(lo[k]):.9g} to {float(hi[k]):.9g}"
         )
 
-    return elig & hi_in, ok, witness
+    return hi_in, ok, witness
 
 
 def _containment_trials(measure: _Measure, mu, nu, on_base, rng):
     """Directed pairs in the containment order: mu grows, nu shrinks."""
     alphas, betas = rng.random(mu.shape[0]), rng.random(mu.shape[0])
-    for a, b in (*_GROWTH_STEPS, (alphas, betas)):
-        yield _grown(measure, mu, nu, on_base, mu + a * (1.0 - mu), b * nu)
-
-
-def _grown(measure: _Measure, mu, nu, on_base, mu1, nu1):
-    """Trial: the value does not drop from (mu, nu) to the larger (mu1, nu1)."""
     small, small_in = on_base
+    if not small_in.all():  # the classic kinds: only pairs that start in the domain count
+        at = np.flatnonzero(small_in)
+        mu, nu, small, alphas, betas = (x[at] for x in (mu, nu, small, alphas, betas))
+    for a, b in (*_GROWTH_STEPS, (alphas, betas)):
+        yield _grown(measure, mu, nu, small, mu + a * (1.0 - mu), b * nu)
+
+
+def _grown(measure: _Measure, mu, nu, small, mu1, nu1):
+    """Trial: the value does not drop from (mu, nu), in the domain, to the larger (mu1, nu1)."""
     large, large_in = _evaluated(measure, penta_arrays(mu1, nu1))
-    return small_in & large_in, _mixed_le(small, large), lambda k: (
+    return large_in, _mixed_le(small, large), lambda k: (
         f"(mu={mu1[k]:.9g}, nu={nu1[k]:.9g}) contains (mu={mu[k]:.9g}, nu={nu[k]:.9g}) "
         f"but value dropped from {small[k]:.9g} to {large[k]:.9g}"
     )
@@ -464,6 +487,42 @@ def _neutral_landmark_result(axiom: str, landmarks) -> AxiomResult:
     return AxiomResult(axiom, True, 3)
 
 
+# Sample bounds: at most 1000 grid steps per side (1,002,001 grid points)
+# and 10**7 random points.
+_MAX_GRID_STEPS = 1000
+_MAX_RANDOM = 10**7
+
+
+def audit_sample(grid_step: float, n_random: int, seed: int) -> tuple[tuple[str, object], ...]:
+    """The sample axiom_audit draws for these arguments, as (key, value) pairs.
+
+    grid_step must be finite and 1/n for a whole n from 1 to 1000, to
+    within 1e-9; n_random an int from 0 to 10**7; seed a non-negative int.
+    A bad argument raises ValidationError naming it.
+    """
+    steps = 1.0 / grid_step if isinstance(grid_step, numbers.Real) and grid_step > 0 else 0.0
+    if not (math.isfinite(steps) and 1 <= round(steps) <= _MAX_GRID_STEPS
+            and abs(steps - round(steps)) <= 1e-9):
+        raise ValidationError(
+            f"grid_step must be 1/n for a whole n from 1 to {_MAX_GRID_STEPS}, got {grid_step!r}"
+        )
+    if not (_is_int(n_random) and 0 <= n_random <= _MAX_RANDOM):
+        raise ValidationError(f"n_random must be an int from 0 to 10**7, got {n_random!r}")
+    if not (_is_int(seed) and seed >= 0):
+        raise ValidationError(f"seed must be a non-negative int, got {seed!r}")
+    return (
+        ("seed", int(seed)),
+        ("grid_step", float(grid_step)),
+        ("grid_points", (round(steps) + 1) ** 2),
+        ("landmark_points", len(_LM_MU_NU)),
+        ("random_points", int(n_random)),
+    )
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def _audit_samples(lm_mu, lm_nu, grid_step: float, n_random: int, seed: int):
     side = np.linspace(0.0, 1.0, round(1.0 / grid_step) + 1)
     gm, gn = np.meshgrid(side, side)
@@ -487,15 +546,19 @@ def axiom_audit(
     EPSILON * max(1, |lhs|, |rhs|) so that measures which legitimately
     blow up near their domain boundary are not failed on rounding noise.
     Measures with a restricted domain are audited on that domain only.
+    The sampling arguments are checked as audit_sample checks them.
     """
     measure = _measure_for(kind, vector_norm)
+    audit_sample(grid_step, n_random, seed)
     lm_mu, lm_nu = np.array(list(_LM_MU_NU.values())).T
     mu, nu, rng = _audit_samples(lm_mu, lm_nu, grid_step, n_random, seed)
     base = penta_arrays(mu, nu)
     t, f, u, c = base
-    # Each index tuple is evaluated once over the whole sample, as a
-    # (values, domain mask) pair.  Entries outside the domain (skpi divides
-    # by zero at u + c = 1) are computed too, but no verdict reads them.
+    # The sample and its three mirrors are evaluated once over the whole
+    # sample, as (values, domain mask) pairs; entries outside the domain
+    # (skpi divides by zero at u + c = 1) are computed too, but no verdict
+    # reads them.  Probes and containment steps are computed only at the
+    # entries their verdicts read.
     with np.errstate(divide="ignore", invalid="ignore"):
         lm_values, lm_in = _evaluated(measure, penta_arrays(lm_mu, lm_nu))
         landmarks = dict(zip(_LM_MU_NU, zip(lm_values.tolist(), lm_in.tolist())))

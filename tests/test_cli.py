@@ -240,6 +240,51 @@ class TestAudit:
         out = capsysbinary.readouterr().out.decode()
         assert "kind=gm-sum" in out
 
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [
+            ("--grid-step", "0", "grid_step"),
+            ("--grid-step", "nan", "grid_step"),
+            ("--grid-step", "-0.5", "grid_step"),
+            ("--grid-step", "0.3", "grid_step"),
+            ("--grid-step", "2.0", "grid_step"),
+            ("--n-random", "-1", "n_random"),
+            ("--n-random", "10000001", "n_random"),
+            ("--seed", "-1", "seed"),
+        ],
+    )
+    def test_a_bad_sampling_flag_is_a_usage_error(self, flag, value, name, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["audit", "--kind", "bb", flag, value])
+        assert err.value.code == 2
+        assert f"pentafuzz: error: {name} must be" in capsys.readouterr().err
+
+    def test_default_sampling_flags_are_not_recorded(self, capsysbinary):
+        assert main(["audit", "--kind", "sk"]) == 0
+        default = capsysbinary.readouterr().out
+        argv = ["audit", "--kind", "sk", "--seed", "0", "--n-random", "100000", "--grid-step", "0.01"]
+        assert main(argv) == 0
+        assert capsysbinary.readouterr().out == default
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_report_reruns_from_its_recorded_sample(self, fmt, capsysbinary):
+        argv = ["audit", "--kind", "max", "--format", fmt]
+        assert main([*argv, "--seed", "5", "--n-random", "3000", "--grid-step", "0.05"]) == 0
+        first = capsysbinary.readouterr().out
+        if fmt == "csv":
+            lines = first.decode().splitlines()
+            recorded = dict(line[2:].split("=", 1) for line in lines if line.startswith("# "))
+        else:
+            recorded = json.loads(first)
+        assert {key: str(recorded[key]) for key in ("grid_points", "landmark_points")} == {
+            "grid_points": "441",
+            "landmark_points": "5",
+        }
+        rerun = ["--seed", str(recorded["seed"]), "--n-random", str(recorded["random_points"])]
+        rerun += ["--grid-step", str(recorded["grid_step"])]
+        assert main([*argv, *rerun]) == 0
+        assert capsysbinary.readouterr().out == first
+
 
 class TestDiagnosticsAndDeterminism:
     def test_missing_file(self, capsys):

@@ -119,6 +119,8 @@ def test_json_numbers_equal_json_dumps_of_format_real_on_a_million_values(corpus
 @given(st.lists(st.floats(), max_size=40), st.booleans())
 @example([0.5, 1.0, 123456.0, 999999.5, 0.99999951, 1e-4, 5e-324, -0.0, 0.0, 1e300], False)
 @example([0.5, 0.0, -0.0, -0.001, 99.9999999999999, 12.3, 1e20, math.nan, -math.inf], True)
+@example([100000.0], False)  # every fast entry has no decimals: JSON still needs one
+@example([123456.0, 0.0, -999999.0, 1e300], False)
 def test_json_numbers_equal_json_dumps_of_format_real(xs, paper):
     want = [json.dumps(float(format_real(x, paper=paper))) for x in xs]
     assert json_numbers(xs, paper) == want

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+import hypothesis.strategies as st
+from hypothesis import example, given
 
 from pentafuzz import (
     AMBIGUOUS,
@@ -22,6 +23,7 @@ from pentafuzz import (
     UndefinedValueError,
     ValidationError,
     VectorNorm,
+    audit_sample,
     axiom_audit,
     bipolar_distance,
     bipolar_similarity,
@@ -37,8 +39,15 @@ from pentafuzz import (
 )
 from pentafuzz.dataio import write_audit
 from pentafuzz.kernel import decompose, penta_arrays
-from pentafuzz.measures import _measure_for, cardinality_array, entropy_array
+from pentafuzz.measures import (
+    _measure_for,
+    _mixed_close,
+    _mixed_le,
+    cardinality_array,
+    entropy_array,
+)
 from helpers import bipolar_values, fuzzy_values, unit_floats
+from reference_measures import reference_mixed_close, reference_mixed_le
 
 SIMILARITY_DERIVED = {
     CardinalityKind.FROM_PE: DistanceKind.PSEUDO_EUCLID,
@@ -420,6 +429,122 @@ class TestAxiomAudit:
                         key = f"{report.family} {report.kind} seed={seed} {fmt}"
                         got[key] = hashlib.sha256(write_audit(report, fmt)).hexdigest()
         assert got == pinned
+
+    def test_reports_match_pinned_digests_at_a_small_sample(self):
+        # The same digests at grid_step 0.05 and 5,000 random points, seeds
+        # 2-4: a second sample on which every verdict, count and witness of
+        # the audit is pinned.
+        data = Path(__file__).parent / "data" / "audit_digests_small.json"
+        pinned = json.loads(data.read_text())
+        got = {}
+        for kind in (*CardinalityKind, *EntropyKind):
+            norms = VectorNorm if kind is EntropyKind.GRZEGORZEWSKI_MROWKA else [VectorNorm.MAX]
+            for norm in norms:
+                for seed in (2, 3, 4):
+                    report = axiom_audit(
+                        kind, vector_norm=norm, grid_step=0.05, n_random=5_000, seed=seed
+                    )
+                    for fmt in ("csv", "json"):
+                        key = f"{report.family} {report.kind} seed={seed} {fmt}"
+                        got[key] = hashlib.sha256(write_audit(report, fmt)).hexdigest()
+        assert got == pinned
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("grid_step", 0),
+            ("grid_step", 0.0),
+            ("grid_step", math.nan),
+            ("grid_step", math.inf),
+            ("grid_step", -0.5),
+            ("grid_step", 0.3),
+            ("grid_step", 2.0),
+            ("grid_step", 5e-324),
+            ("grid_step", 0.0005),
+            ("grid_step", "0.01"),
+            ("n_random", -1),
+            ("n_random", 10**7 + 1),
+            ("n_random", 1.0),
+            ("n_random", True),
+            ("seed", -1),
+            ("seed", 1.5),
+            ("seed", None),
+        ],
+    )
+    def test_a_bad_sampling_argument_is_named(self, name, value):
+        args = {"grid_step": 0.05, "n_random": 10, "seed": 0, name: value}
+        with pytest.raises(ValidationError, match=name):
+            audit_sample(**args)
+        with pytest.raises(ValidationError, match=name):
+            axiom_audit(EntropyKind.BUSTINCE_BURILLO, **args)
+
+    @pytest.mark.parametrize("grid_step, side", [(0.01, 101), (0.02, 51), (0.05, 21), (1.0, 2)])
+    def test_sampling_arguments_describe_the_sample(self, grid_step, side):
+        assert dict(audit_sample(grid_step, 10**7, 7)) == {
+            "seed": 7,
+            "grid_step": grid_step,
+            "grid_points": side * side,
+            "landmark_points": 5,
+            "random_points": 10**7,
+        }
+
+    def test_numpy_sampling_arguments_are_recorded_as_json_numbers(self):
+        sample = audit_sample(np.float64(0.5), np.int64(20), np.int64(3))
+        report = axiom_audit(EntropyKind.BUSTINCE_BURILLO, grid_step=0.5, n_random=20, seed=3)
+        doc = json.loads(write_audit(report, "json", sample))
+        assert [doc[key] for key, _ in sample] == [3, 0.5, 9, 5, 20]
+
+    def test_an_empty_random_sample_is_audited(self):
+        report = axiom_audit(EntropyKind.BUSTINCE_BURILLO, grid_step=0.5, n_random=0)
+        assert report.failed_axioms() == ("e2",)
+
+
+def _nudged(x: float, ulps: int) -> float:
+    """x moved by ulps units in the last place."""
+    toward = math.inf if ulps > 0 else -math.inf
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, toward))
+    return x
+
+
+# Floats where a flat-tolerance screen could go wrong: non-finite values,
+# signed zeros, subnormals and magnitudes of 1e300 and beyond.
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -5e-324, EPSILON, 1.0]),
+    st.floats(),
+    st.floats(min_value=1e300) | st.floats(max_value=-1e300),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+    st.floats(min_value=-10.0, max_value=10.0),
+)
+
+
+@st.composite
+def boundary_pairs(draw):
+    """(a, b) within a few ulps of a = b +/- EPSILON * max(1, |b|), in either order."""
+    b = draw(st.floats(allow_nan=False, allow_infinity=False))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    a = _nudged(b + sign * EPSILON * max(1.0, abs(b)), draw(st.integers(-4, 4)))
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+class TestScreenedComparisons:
+    """_mixed_le and _mixed_close equal their scale-everything oracles elementwise."""
+
+    @given(st.lists(st.tuples(EDGE_FLOATS, EDGE_FLOATS) | boundary_pairs(), min_size=1, max_size=40))
+    @example([(-math.inf, -math.inf)])
+    @example([(math.inf, math.inf), (math.nan, 0.0), (-math.inf, 1.0), (1.0, -math.inf)])
+    def test_screened_comparisons_match_the_oracle(self, pairs):
+        a, b = np.array(pairs).T
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert np.array_equal(_mixed_le(a, b), reference_mixed_le(a, b))
+            assert np.array_equal(_mixed_le(b, a), reference_mixed_le(b, a))
+            assert np.array_equal(_mixed_close(a, b), reference_mixed_close(a, b))
+
+    def test_negative_infinity_is_not_below_itself(self):
+        # -inf + EPSILON * inf is nan in the scaled test, so the pair fails.
+        a = np.array([-math.inf])
+        with np.errstate(invalid="ignore"):
+            assert not _mixed_le(a, a)[0]
 
 
 class TestScalarAxiomSpotChecks:
