@@ -154,7 +154,9 @@ def _audit(args) -> bytes:
     try:
         drawn = audit_sample(**sample)
     except ValidationError as exc:
-        args.usage_error(str(exc))
+        # audit_sample's message starts with the argument's name; name its flag instead.
+        name, rest = str(exc).split(" ", 1)
+        args.usage_error(f"--{name.replace('_', '-')} {rest}")
     report = axiom_audit(kind, vector_norm=_vector_norm(args), **sample)
     if args.expect_paper and not matches_paper_pattern(report):
         failed = list(report.failed_axioms())
@@ -172,13 +174,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Measurement kernel for bipolar fuzzy datasets.",
     )
     parser.add_argument("--version", action="version", version=f"pentafuzz {__version__}")
-    # Handlers call args.usage_error (exit 2) and set args.status after a failed check.
-    parser.set_defaults(status=0, usage_error=parser.error)
+    # Handlers set args.status after a failed check.
+    parser.set_defaults(status=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, run, help: str, nargs=1) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
-        p.set_defaults(run=run)
+        # Handlers call args.usage_error (exit 2), which prints this subcommand's usage.
+        p.set_defaults(run=run, usage_error=p.error)
         if nargs is not None:
             p.add_argument("inputs", nargs=nargs, type=Path, metavar="INPUT")
         p.add_argument("--format", choices=("csv", "json"), default="csv",

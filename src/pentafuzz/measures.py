@@ -20,8 +20,6 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import partial
-from typing import Callable
 
 import numpy as np
 
@@ -138,14 +136,18 @@ def _entropy_formula(
     if kind is EntropyKind.BUSTINCE_BURILLO:
         return u + c
     if kind is EntropyKind.GRZEGORZEWSKI_MROWKA:
-        ambiguity = 1.0 - t - f
-        neutrality = u + c
+        ambiguity, neutrality = _gm_components(t, f, u, c)
         if vector_norm is VectorNorm.MAX:
             return np.maximum(ambiguity, neutrality)
         if vector_norm is VectorNorm.SUM:
             return ambiguity + neutrality
         raise ValidationError(f"unknown vector norm {vector_norm!r}")
     raise ValidationError(f"unknown entropy kind {kind!r}")
+
+
+def _gm_components(t, f, u, c):
+    """The vector entropy gm's (ambiguity, neutrality)."""
+    return 1.0 - t - f, u + c
 
 
 # ---------------------------------------------------------------------------
@@ -159,17 +161,18 @@ def cardinality_point(kind: CardinalityKind, x: BipolarValue) -> float:
     The classic kinds are stated for intuitionistic values only and reject
     paraconsistent input.
     """
-    if kind in _CLASSIC and x.kappa > EPSILON:
+    p = to_penta(x)
+    # A kind from the other family is left to _card_formula, which rejects it.
+    if isinstance(kind, CardinalityKind) and not _domain(kind, p.t, p.f, p.u, p.c):
         raise ValidationError(
             f"{kind.value} cardinality is undefined for paraconsistent value "
             f"({x.mu}, {x.nu}): mu + nu = {x.mu + x.nu}"
         )
-    p = to_penta(x)
     return float(_card_formula(kind, p.t, p.f, p.u, p.c))
 
 
 def _domain(kind: CardinalityKind | EntropyKind, t, f, u, c):
-    """Where the kind is defined, as a mask: the conditions the point functions test."""
+    """Where the kind is defined: a mask over arrays, a bool for one value."""
     if kind in _CLASSIC:
         return c <= EPSILON
     if kind is EntropyKind.SZMIDT_KACPRZYK_PI:
@@ -222,13 +225,14 @@ def entropy_point(
     is assigned.
     """
     p = to_penta(x)
-    if kind is EntropyKind.SZMIDT_KACPRZYK_PI and 1.0 - p.u - p.c <= EPSILON:
+    # A kind from the other family is left to _entropy_formula, which rejects it.
+    if isinstance(kind, EntropyKind) and not _domain(kind, p.t, p.f, p.u, p.c):
         raise UndefinedValueError(
-            f"skpi entropy is undefined at ({x.mu}, {x.nu}): u + c = {p.u + p.c}"
+            f"{kind.value} entropy is undefined at ({x.mu}, {x.nu}): u + c = {p.u + p.c}"
         )
     scalar = float(_entropy_formula(kind, p.t, p.f, p.u, p.c, vector_norm))
     if kind is EntropyKind.GRZEGORZEWSKI_MROWKA:
-        return EntropyResult(scalar, (1.0 - p.t - p.f, p.u + p.c))
+        return EntropyResult(scalar, _gm_components(p.t, p.f, p.u, p.c))
     return EntropyResult(scalar)
 
 
@@ -316,46 +320,25 @@ def _screened(a, b, ok, scaled):
     return ok
 
 
-def _mixed_close(a, b, tol: float = EPSILON):
-    """|a - b| <= tol * max(1, |a|, |b|), elementwise."""
-    return _screened(a, b, np.abs(a - b) <= tol, lambda a, b, scale: np.abs(a - b) <= tol * scale)
+def _mixed_close(a, b):
+    """|a - b| <= EPSILON * max(1, |a|, |b|), elementwise."""
+    return _screened(
+        a, b, np.abs(a - b) <= EPSILON, lambda a, b, scale: np.abs(a - b) <= EPSILON * scale
+    )
 
 
-def _mixed_le(a, b, tol: float = EPSILON):
-    """a <= b + tol * max(1, |a|, |b|), elementwise."""
+def _mixed_le(a, b):
+    """a <= b + EPSILON * max(1, |a|, |b|), elementwise."""
     # b = -inf goes to the scaled test: there -inf + inf is nan, so (-inf, -inf) fails.
-    ok = (a <= b + tol) & (b > -np.inf)
-    return _screened(a, b, ok, lambda a, b, scale: a <= b + tol * scale)
+    ok = (a <= b + EPSILON) & (b > -np.inf)
+    return _screened(a, b, ok, lambda a, b, scale: a <= b + EPSILON * scale)
 
 
-@dataclass(frozen=True)
-class _Measure:
-    label: str
-    family: str
-    evaluate: Callable  # (t, f, u, c) arrays -> value array
-    domain: Callable  # (t, f, u, c) arrays -> bool mask
-
-
-def _measure_for(kind, vector_norm: VectorNorm) -> _Measure:
-    dom = partial(_domain, kind)
+def _evaluator(kind: CardinalityKind | EntropyKind, vector_norm: VectorNorm):
+    """The audited measure as (t, f, u, c) -> (values, domain mask)."""
     if isinstance(kind, CardinalityKind):
-        return _Measure(kind.value, "cardinality", lambda t, f, u, c: _card_formula(kind, t, f, u, c), dom)
-    if isinstance(kind, EntropyKind):
-        label = kind.value
-        if kind is EntropyKind.GRZEGORZEWSKI_MROWKA:
-            label = f"gm-{vector_norm.value}"
-        return _Measure(
-            label,
-            "entropy",
-            lambda t, f, u, c: _entropy_formula(kind, t, f, u, c, vector_norm),
-            dom,
-        )
-    raise ValidationError(f"unknown audit kind {kind!r}")
-
-
-def _evaluated(measure: _Measure, tfuc) -> tuple[np.ndarray, np.ndarray]:
-    """The measure at every entry of an index tuple, with its domain mask."""
-    return measure.evaluate(*tfuc), measure.domain(*tfuc)
+        return lambda *tfuc: (_card_formula(kind, *tfuc), _domain(kind, *tfuc))
+    return lambda *tfuc: (_entropy_formula(kind, *tfuc, vector_norm), _domain(kind, *tfuc))
 
 
 def _first_failure(axiom: str, trials) -> AxiomResult:
@@ -392,7 +375,7 @@ def _equal(mu, nu, lhs, rhs):
     )
 
 
-def _slice_probe_result(measure: _Measure, axiom: str, base, on_base, directions) -> AxiomResult:
+def _slice_probe_result(measure, axiom: str, base, on_base, directions) -> AxiomResult:
     """Directed perturbations along each single-index slice.
 
     A probe raises one index by part of the ambiguity budget while its
@@ -426,9 +409,9 @@ def _slice_probe_result(measure: _Measure, axiom: str, base, on_base, directions
     return result
 
 
-def _probe(measure: _Measure, base, lo, comp: str, direction: str, delta):
+def _probe(measure, base, lo, comp: str, direction: str, delta):
     """Trial: index comp raised by delta at every entry of base."""
-    hi, hi_in = _evaluated(measure, [x + delta if n == comp else x for n, x in zip("tfuc", base)])
+    hi, hi_in = measure(*(x + delta if n == comp else x for n, x in zip("tfuc", base)))
     ok = _mixed_le(lo, hi) if direction == "up" else _mixed_le(hi, lo)
 
     def witness(k: int) -> str:
@@ -441,7 +424,7 @@ def _probe(measure: _Measure, base, lo, comp: str, direction: str, delta):
     return hi_in, ok, witness
 
 
-def _containment_trials(measure: _Measure, mu, nu, on_base, rng):
+def _containment_trials(measure, mu, nu, on_base, rng):
     """Directed pairs in the containment order: mu grows, nu shrinks."""
     alphas, betas = rng.random(mu.shape[0]), rng.random(mu.shape[0])
     small, small_in = on_base
@@ -452,9 +435,9 @@ def _containment_trials(measure: _Measure, mu, nu, on_base, rng):
         yield _grown(measure, mu, nu, small, mu + a * (1.0 - mu), b * nu)
 
 
-def _grown(measure: _Measure, mu, nu, small, mu1, nu1):
+def _grown(measure, mu, nu, small, mu1, nu1):
     """Trial: the value does not drop from (mu, nu), in the domain, to the larger (mu1, nu1)."""
-    large, large_in = _evaluated(measure, penta_arrays(mu1, nu1))
+    large, large_in = measure(*penta_arrays(mu1, nu1))
     return large_in, _mixed_le(small, large), lambda k: (
         f"(mu={mu1[k]:.9g}, nu={nu1[k]:.9g}) contains (mu={mu[k]:.9g}, nu={nu[k]:.9g}) "
         f"but value dropped from {small[k]:.9g} to {large[k]:.9g}"
@@ -548,7 +531,14 @@ def axiom_audit(
     Measures with a restricted domain are audited on that domain only.
     The sampling arguments are checked as audit_sample checks them.
     """
-    measure = _measure_for(kind, vector_norm)
+    if isinstance(kind, CardinalityKind):
+        family, label = "cardinality", kind.value
+    elif isinstance(kind, EntropyKind):
+        gm = kind is EntropyKind.GRZEGORZEWSKI_MROWKA
+        family, label = "entropy", f"gm-{vector_norm.value}" if gm else kind.value
+    else:
+        raise ValidationError(f"unknown audit kind {kind!r}")
+    measure = _evaluator(kind, vector_norm)
     audit_sample(grid_step, n_random, seed)
     lm_mu, lm_nu = np.array(list(_LM_MU_NU.values())).T
     mu, nu, rng = _audit_samples(lm_mu, lm_nu, grid_step, n_random, seed)
@@ -560,13 +550,11 @@ def axiom_audit(
     # reads them.  Probes and containment steps are computed only at the
     # entries their verdicts read.
     with np.errstate(divide="ignore", invalid="ignore"):
-        lm_values, lm_in = _evaluated(measure, penta_arrays(lm_mu, lm_nu))
+        lm_values, lm_in = measure(*penta_arrays(lm_mu, lm_nu))
         landmarks = dict(zip(_LM_MU_NU, zip(lm_values.tolist(), lm_in.tolist())))
-        on_base = _evaluated(measure, base)
-        on_comp, on_dual, on_neg = (
-            _evaluated(measure, x) for x in ((f, t, u, c), (t, f, c, u), (f, t, c, u))
-        )
-        if measure.family == "cardinality":
+        on_base = measure(*base)
+        on_comp, on_dual, on_neg = measure(f, t, u, c), measure(t, f, c, u), measure(f, t, c, u)
+        if family == "cardinality":
             results = (
                 _landmark_result("c1", landmarks, (("T", 1.0), ("F", 0.0), ("I", 0.5))),
                 _slice_probe_result(
@@ -590,7 +578,7 @@ def axiom_audit(
                 ),
                 _neutral_landmark_result("e5", landmarks),
             )
-    return AuditReport(measure.label, measure.family, results)
+    return AuditReport(label, family, results)
 
 
 # Pass/fail pattern published with these measures: used by the audit CLI's

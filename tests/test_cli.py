@@ -214,7 +214,8 @@ class TestAudit:
             main(["audit", "--kind", kind, "--family", family])
         assert err.value.code == 2
         err_text = capsys.readouterr().err
-        assert f"pentafuzz: error: --kind {kind} is in the {owner} family, not {family}" in err_text
+        message = f"--kind {kind} is in the {owner} family, not {family}"
+        assert f"pentafuzz audit: error: {message}" in err_text
 
     def test_family_agreeing_with_kind_is_accepted(self, capsysbinary):
         assert main(["audit", "--kind", "min", "--family", "card"]) == 0
@@ -257,7 +258,9 @@ class TestAudit:
         with pytest.raises(SystemExit) as err:
             main(["audit", "--kind", "bb", flag, value])
         assert err.value.code == 2
-        assert f"pentafuzz: error: {name} must be" in capsys.readouterr().err
+        err_text = capsys.readouterr().err
+        assert f"pentafuzz audit: error: {flag} must be" in err_text
+        assert f": error: {name} must be" not in err_text
 
     def test_default_sampling_flags_are_not_recorded(self, capsysbinary):
         assert main(["audit", "--kind", "sk"]) == 0
@@ -306,6 +309,24 @@ class TestDiagnosticsAndDeterminism:
         with pytest.raises(SystemExit) as err:
             main(["penta", "--wat", str(p1_pair)])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["dist", "P", "P", "P"], "dist/sim take one input (pairwise matrix) or two"),
+            (["audit", "--kind", "pe"], "--kind pe exists in both families; pass --family"),
+        ],
+        ids=["dist-three-inputs", "audit-shared-kind"],
+    )
+    def test_a_handler_usage_error_prints_the_subcommand_usage(
+        self, p1_pair, argv, message, capsys
+    ):
+        with pytest.raises(SystemExit) as err:
+            main([str(p1_pair) if arg == "P" else arg for arg in argv])
+        assert err.value.code == 2
+        usage, *_, last = capsys.readouterr().err.splitlines()
+        assert usage.startswith(f"usage: pentafuzz {argv[0]} [-h]")
+        assert last.startswith(f"pentafuzz {argv[0]}: error: {message}")
 
     def test_unwritable_out_is_a_validation_error(self, p1_pair, tmp_path, capsys):
         out = tmp_path / "missing" / "r.csv"

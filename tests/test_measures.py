@@ -20,6 +20,7 @@ from pentafuzz import (
     CardinalityKind,
     DistanceKind,
     EntropyKind,
+    PentafuzzError,
     UndefinedValueError,
     ValidationError,
     VectorNorm,
@@ -40,7 +41,7 @@ from pentafuzz import (
 from pentafuzz.dataio import write_audit
 from pentafuzz.kernel import decompose, penta_arrays
 from pentafuzz.measures import (
-    _measure_for,
+    _evaluator,
     _mixed_close,
     _mixed_le,
     cardinality_array,
@@ -131,9 +132,54 @@ class TestCardinalityPoint:
             (card, cardinality_point(card, x), cardinality_array(card, d), "0x1.4e2bac1acc1b5p-1"),
             (ent, entropy_point(ent, x).scalar, entropy_array(ent, d), "0x1.63a8a7ca67c96p-1"),
         ):
-            audit = _measure_for(kind, VectorNorm.MAX).evaluate(d.t, d.f, d.u, d.c)
+            audit, _ = _evaluator(kind, VectorNorm.MAX)(d.t, d.f, d.u, d.c)
             assert point == float.fromhex(expected)
             assert array.tolist() == audit.tolist() == [point]
+
+
+class TestDomainErrors:
+    """The exact error for a value outside a kind's domain, and for a kind
+    from the other family, through the point and the array function."""
+
+    ROUTES = {
+        "card": (cardinality_point, cardinality_array),
+        "entropy": (entropy_point, entropy_array),
+    }
+
+    @pytest.mark.parametrize("via", ["point", "array"])
+    @pytest.mark.parametrize(
+        "route, kind, mu, nu, error, message",
+        [
+            (
+                "card", CardinalityKind.CLASSIC_MIN, 0.5, 0.5 + 1.5e-9, ValidationError,
+                "min cardinality is undefined for paraconsistent value (0.5, 0.5000000015): "
+                "mu + nu = 1.0000000015000001",
+            ),
+            (
+                "entropy", EntropyKind.SZMIDT_KACPRZYK_PI, 2e-10, 2e-10, UndefinedValueError,
+                "skpi entropy is undefined at (2e-10, 2e-10): u + c = 0.9999999996",
+            ),
+            (
+                "card", EntropyKind.SZMIDT_KACPRZYK_PI, 0.0, 0.0, ValidationError,
+                "unknown cardinality kind <EntropyKind.SZMIDT_KACPRZYK_PI: 'skpi'>",
+            ),
+            (
+                "entropy", CardinalityKind.CLASSIC_MIN, 1.0, 1.0, ValidationError,
+                "unknown entropy kind <CardinalityKind.CLASSIC_MIN: 'min'>",
+            ),
+        ],
+        ids=["min-past-kappa-bound", "skpi-inside-u+c=1", "skpi-as-card", "min-as-entropy"],
+    )
+    def test_error_type_and_message(self, via, route, kind, mu, nu, error, message):
+        point, array = self.ROUTES[route]
+        with pytest.raises(PentafuzzError) as err:
+            if via == "point":
+                point(kind, BipolarValue(mu, nu))
+            else:
+                # The value follows one inside every domain, so it is the first offender.
+                array(kind, decompose(np.array([0.2, mu]), np.array([0.3, nu])))
+        assert type(err.value) is error
+        assert str(err.value) == message
 
 
 class TestCardinalitySet:
@@ -400,15 +446,19 @@ class TestAxiomAudit:
     )
     def test_audit_domain_is_where_the_point_function_is_defined(self, kind, mu, nu):
         # Near u + c = 1, skpi is undefined for entropy_point; the audit
-        # must not evaluate it there either.
-        domain = _measure_for(kind, VectorNorm.MAX).domain
+        # must not read it there either.  The audit evaluates with numpy's
+        # division warnings silenced, and so does this test.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _, domain = _evaluator(kind, VectorNorm.MAX)(
+                *penta_arrays(np.array([mu]), np.array([nu]))
+            )
         point = cardinality_point if isinstance(kind, CardinalityKind) else entropy_point
         try:
             point(kind, BipolarValue(mu, nu))
             defined = True
         except (UndefinedValueError, ValidationError):
             defined = False
-        assert bool(domain(*penta_arrays(np.array([mu]), np.array([nu])))[0]) is defined
+        assert bool(domain[0]) is defined
 
     def test_report_is_deterministic(self):
         a = axiom_audit(EntropyKind.FROM_PE, **AUDIT_ARGS)
