@@ -178,7 +178,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(status=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, run, help: str, nargs=1) -> argparse.ArgumentParser:
+    def command(name: str, run, help: str, nargs=1,
+                rounding="render two decimals truncated toward zero") -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         # Handlers call args.usage_error (exit 2), which prints this subcommand's usage.
         p.set_defaults(run=run, usage_error=p.error)
@@ -186,8 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("inputs", nargs=nargs, type=Path, metavar="INPUT")
         p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="output format (default csv)")
-        p.add_argument("--paper-rounding", action="store_true",
-                       help="render two decimals truncated toward zero")
+        p.add_argument("--paper-rounding", action="store_true", help=rounding)
         p.add_argument("--out", type=Path, default=None, help="write output to a file")
         return p
 
@@ -207,12 +207,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vector-norm", choices=_values(VectorNorm), default=None,
                    help="scalar reduction for the vector entropy gm only (default max)")
 
-    p = command("setop", _setop, "pointwise set operation", nargs=None)
+    p = command("setop", _setop, "pointwise set operation", nargs=None,
+                rounding="accepted and ignored: degrees are written with six significant digits")
     p.add_argument("kind", choices=_values(SetOpKind))
     p.add_argument("inputs", nargs="+", type=Path, metavar="INPUT")
     p.add_argument("--tnorm", choices=sorted(NORM_PAIRS), default="minmax")
 
-    p = command("audit", _audit, "run the axiom audit for a named measure", nargs=None)
+    p = command("audit", _audit, "run the axiom audit for a named measure", nargs=None,
+                rounding="accepted and ignored: audit reports hold no formatted reals")
     p.add_argument("--kind", required=True, choices=_values(*_FAMILIES.values()))
     p.add_argument("--family", choices=sorted(_FAMILIES), default=None,
                    help="the kind's family; required for pe, ph and pp, which are in both")

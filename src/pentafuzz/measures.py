@@ -16,6 +16,7 @@ package documents which measures violate which axioms.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -341,20 +342,39 @@ def _evaluator(kind: CardinalityKind | EntropyKind, vector_norm: VectorNorm):
     return lambda *tfuc: (_entropy_formula(kind, *tfuc, vector_norm), _domain(kind, *tfuc))
 
 
-def _first_failure(axiom: str, trials) -> AxiomResult:
-    """Check (mask, ok, witness) trials in order, up to the first failure.
+class _Tally:
+    """One sampled axiom's (mask, ok, witness) trials, combined over the blocks.
 
-    A trial checks the entries in its mask and fails at the first of them
-    where ok is false; witness(k) describes that entry k.  checked counts
-    the masked entries of every trial run.
+    The trials run in order, and the axiom fails at the first trial with a
+    masked entry where ok is false, at the first such entry in sample
+    order; witness(k) describes entry k of its block.  checked counts the
+    masked entries of every trial run, the failing one included.  Blocks
+    are added in sample order, and each is read only up to the earliest
+    trial that has failed so far.
     """
-    checked = 0
-    for mask, ok, witness in trials:
-        checked += int(np.count_nonzero(mask))
-        bad = mask & ~ok
-        if bad.any():
-            return AxiomResult(axiom, False, checked, witness(int(np.argmax(bad))))
-    return AxiomResult(axiom, True, checked)
+
+    def __init__(self, axiom: str):
+        self.axiom = axiom
+        self.counts: list[int] = []  # masked entries per trial, over the blocks read
+        self.failure: tuple[int, str] | None = None  # (trial, witness)
+
+    def add(self, trials) -> None:
+        for j, (mask, ok, witness) in enumerate(trials):
+            if j == len(self.counts):
+                self.counts.append(0)
+            self.counts[j] += int(np.count_nonzero(mask))
+            if self.failure is not None and j == self.failure[0]:
+                return
+            bad = mask & ~ok
+            if bad.any():
+                self.failure = (j, witness(int(np.argmax(bad))))
+                return
+
+    def result(self) -> AxiomResult:
+        if self.failure is None:
+            return AxiomResult(self.axiom, True, sum(self.counts))
+        j, witness = self.failure
+        return AxiomResult(self.axiom, False, sum(self.counts[: j + 1]), witness)
 
 
 def _landmark_result(axiom: str, landmarks, expectations) -> AxiomResult:
@@ -375,8 +395,8 @@ def _equal(mu, nu, lhs, rhs):
     )
 
 
-def _slice_probe_result(measure, axiom: str, base, on_base, directions) -> AxiomResult:
-    """Directed perturbations along each single-index slice.
+def _slice_probes(measure, base, on_base, directions):
+    """Trials: directed perturbations along each single-index slice, two per slice.
 
     A probe raises one index by part of the ambiguity budget while its
     exclusive partner is zero, so the perturbed tuple is still a valid
@@ -387,24 +407,22 @@ def _slice_probe_result(measure, axiom: str, base, on_base, directions) -> Axiom
     i = 1.0 - t - f - u - c
     lo, lo_in = on_base
     partners = {"t": f, "f": t, "u": c, "c": u}
-    empty_slices = []
+    # One slice at a time, gathered to the entries its probes can check:
+    # partner zero, ambiguity to spend, value in the domain.
+    for comp, direction in directions.items():
+        at = np.flatnonzero((partners[comp] == 0.0) & (i > 1e-12) & lo_in)
+        start, lo_at, i_at = [x[at] for x in base], lo[at], i[at]
+        for frac in (0.5, 1.0):
+            yield _probe(measure, start, lo_at, comp, direction, frac * i_at)
 
-    def trials():
-        # One slice at a time, gathered to the entries its probes can check:
-        # partner zero, ambiguity to spend, value in the domain.
-        for comp, direction in directions.items():
-            at = np.flatnonzero((partners[comp] == 0.0) & (i > 1e-12) & lo_in)
-            start, lo_at, i_at = [x[at] for x in base], lo[at], i[at]
-            probes = [
-                _probe(measure, start, lo_at, comp, direction, frac * i_at) for frac in (0.5, 1.0)
-            ]
-            if not any(mask.any() for mask, _, _ in probes):
-                empty_slices.append(comp)
-            yield from probes
 
-    result = _first_failure(axiom, trials())
-    if result.passed and empty_slices:
-        note = f"no admissible probes in slice(s) {','.join(empty_slices)} on this domain"
+def _slice_probe_result(tally: _Tally, directions) -> AxiomResult:
+    """The tally of _slice_probes, noting the slices no probe could check."""
+    result = tally.result()
+    counts = tally.counts
+    empty = [comp for comp, n, m in zip(directions, counts[::2], counts[1::2]) if n + m == 0]
+    if result.passed and empty:
+        note = f"no admissible probes in slice(s) {','.join(empty)} on this domain"
         return replace(result, note=note)
     return result
 
@@ -424,15 +442,19 @@ def _probe(measure, base, lo, comp: str, direction: str, delta):
     return hi_in, ok, witness
 
 
-def _containment_trials(measure, mu, nu, on_base, rng):
-    """Directed pairs in the containment order: mu grows, nu shrinks."""
-    alphas, betas = rng.random(mu.shape[0]), rng.random(mu.shape[0])
+def _containment_trials(measure, mu, nu, on_base, growth):
+    """Directed pairs in the containment order: mu grows, nu shrinks.
+
+    The last trial's step (alphas, betas), one per entry, is growth().
+    """
     small, small_in = on_base
-    if not small_in.all():  # the classic kinds: only pairs that start in the domain count
-        at = np.flatnonzero(small_in)
-        mu, nu, small, alphas, betas = (x[at] for x in (mu, nu, small, alphas, betas))
-    for a, b in (*_GROWTH_STEPS, (alphas, betas)):
+    # The classic kinds: only pairs that start in the domain count.
+    at = slice(None) if small_in.all() else np.flatnonzero(small_in)
+    mu, nu, small = mu[at], nu[at], small[at]
+    for a, b in _GROWTH_STEPS:
         yield _grown(measure, mu, nu, small, mu + a * (1.0 - mu), b * nu)
+    alphas, betas = (x[at] for x in growth())
+    yield _grown(measure, mu, nu, small, mu + alphas * (1.0 - mu), betas * nu)
 
 
 def _grown(measure, mu, nu, small, mu1, nu1):
@@ -506,13 +528,84 @@ def _is_int(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
-def _audit_samples(lm_mu, lm_nu, grid_step: float, n_random: int, seed: int):
-    side = np.linspace(0.0, 1.0, round(1.0 / grid_step) + 1)
-    gm, gn = np.meshgrid(side, side)
-    rng = np.random.default_rng(seed)
-    mu = np.concatenate([gm.ravel(), lm_mu, rng.random(n_random)])
-    nu = np.concatenate([gn.ravel(), lm_nu, rng.random(n_random)])
-    return mu, nu, rng
+# Sample entries per evaluation block: the audit holds a few dozen float64
+# arrays of this length at once, whatever the size of its sample.
+_BLOCK = 2**14
+
+_LM_MU, _LM_NU = np.array(list(_LM_MU_NU.values())).T
+
+# Slice probe directions: "up" where the value must not drop as the index grows.
+_C2_SLICES = {"t": "up", "f": "down", "u": "down", "c": "down"}
+_E3_SLICES = {"t": "down", "f": "down", "u": "up", "c": "up"}
+
+
+@dataclass(frozen=True)
+class _Sample:
+    """The audited points in sample order: the grid, the landmarks, the random points.
+
+    The grid is side x side in meshgrid order, mu varying fastest.  The
+    random points and the random containment step are default_rng(seed)'s
+    draws in this order: n_random mu, n_random nu, then one alpha per
+    sample entry and one beta per sample entry.  Any stretch of those
+    draws is made on its own, by advancing the generator past the draws
+    before it.
+    """
+
+    side: np.ndarray
+    n_random: int
+    seed: np.random.SeedSequence
+
+    @property
+    def size(self) -> int:
+        return self.side.size**2 + _LM_MU.size + self.n_random
+
+    def _draws(self, first: int, k: int) -> np.ndarray:
+        """default_rng(seed).random draws first to first + k - 1."""
+        # Each float64 of random() takes one 64-bit output of the bit generator.
+        return np.random.Generator(np.random.PCG64(self.seed).advance(first)).random(k)
+
+    def degrees(self, lo: int, hi: int):
+        """(mu, nu) of entries lo to hi - 1."""
+        n_grid, side = self.side.size**2, self.side
+        at = np.arange(lo, min(hi, n_grid))
+        l0, l1 = (min(max(x - n_grid, 0), _LM_MU.size) for x in (lo, hi))
+        r0, r1 = (max(x - n_grid - _LM_MU.size, 0) for x in (lo, hi))
+        mu = self._draws(r0, r1 - r0)
+        nu = self._draws(self.n_random + r0, r1 - r0)
+        return (
+            np.concatenate([side[at % side.size], _LM_MU[l0:l1], mu]),
+            np.concatenate([side[at // side.size], _LM_NU[l0:l1], nu]),
+        )
+
+    def growth(self, lo: int, hi: int):
+        """The random containment step (alphas, betas) of entries lo to hi - 1."""
+        first = 2 * self.n_random + lo
+        return self._draws(first, hi - lo), self._draws(first + self.size, hi - lo)
+
+
+def _block_trials(family: str, measure, mu, nu, growth):
+    """Each sampled axiom's trials on one block of the sample, made as they are read.
+
+    The block and its three mirrors are evaluated as (values, domain mask)
+    pairs; entries outside the domain (skpi divides by zero at u + c = 1)
+    are computed too, but no verdict reads them.  Probes and containment
+    steps are computed only at the entries their verdicts read.
+    """
+    base = penta_arrays(mu, nu)
+    t, f, u, c = base
+    on_base = measure(*base)
+    on_comp, on_dual, on_neg = measure(f, t, u, c), measure(t, f, c, u), measure(f, t, c, u)
+    if family == "cardinality":
+        return {
+            "c2": _slice_probes(measure, base, on_base, _C2_SLICES),
+            "c3": (_equal(mu, nu, *pair) for pair in ((on_base, on_dual), (on_comp, on_neg))),
+            "c4": (_complement_bound(mu, nu, on_base, on_comp),),
+            "c5": _containment_trials(measure, mu, nu, on_base, growth),
+        }
+    return {
+        "e3": _slice_probes(measure, base, on_base, _E3_SLICES),
+        "e4": (_equal(mu, nu, on_base, x) for x in (on_comp, on_dual, on_neg)),
+    }
 
 
 def axiom_audit(
@@ -529,7 +622,9 @@ def axiom_audit(
     EPSILON * max(1, |lhs|, |rhs|) so that measures which legitimately
     blow up near their domain boundary are not failed on rounding noise.
     Measures with a restricted domain are audited on that domain only.
-    The sampling arguments are checked as audit_sample checks them.
+    The sampling arguments are checked as audit_sample checks them.  The
+    sample is evaluated in blocks of _BLOCK entries, so memory does not
+    grow with it; the report is the same for every block size.
     """
     if isinstance(kind, CardinalityKind):
         family, label = "cardinality", kind.value
@@ -540,44 +635,34 @@ def axiom_audit(
         raise ValidationError(f"unknown audit kind {kind!r}")
     measure = _evaluator(kind, vector_norm)
     audit_sample(grid_step, n_random, seed)
-    lm_mu, lm_nu = np.array(list(_LM_MU_NU.values())).T
-    mu, nu, rng = _audit_samples(lm_mu, lm_nu, grid_step, n_random, seed)
-    base = penta_arrays(mu, nu)
-    t, f, u, c = base
-    # The sample and its three mirrors are evaluated once over the whole
-    # sample, as (values, domain mask) pairs; entries outside the domain
-    # (skpi divides by zero at u + c = 1) are computed too, but no verdict
-    # reads them.  Probes and containment steps are computed only at the
-    # entries their verdicts read.
+    side = np.linspace(0.0, 1.0, round(1.0 / grid_step) + 1)
+    sample = _Sample(side, int(n_random), np.random.SeedSequence(seed))
+    tallies: dict[str, _Tally] = {}
     with np.errstate(divide="ignore", invalid="ignore"):
-        lm_values, lm_in = measure(*penta_arrays(lm_mu, lm_nu))
+        lm_values, lm_in = measure(*penta_arrays(_LM_MU, _LM_NU))
         landmarks = dict(zip(_LM_MU_NU, zip(lm_values.tolist(), lm_in.tolist())))
-        on_base = measure(*base)
-        on_comp, on_dual, on_neg = measure(f, t, u, c), measure(t, f, c, u), measure(f, t, c, u)
-        if family == "cardinality":
-            results = (
-                _landmark_result("c1", landmarks, (("T", 1.0), ("F", 0.0), ("I", 0.5))),
-                _slice_probe_result(
-                    measure, "c2", base, on_base, {"t": "up", "f": "down", "u": "down", "c": "down"}
-                ),
-                _first_failure(
-                    "c3", [_equal(mu, nu, on_base, on_dual), _equal(mu, nu, on_comp, on_neg)]
-                ),
-                _first_failure("c4", [_complement_bound(mu, nu, on_base, on_comp)]),
-                _first_failure("c5", _containment_trials(measure, mu, nu, on_base, rng)),
-            )
-        else:
-            results = (
-                _landmark_result("e1", landmarks, (("T", 0.0), ("F", 0.0))),
-                _landmark_result("e2", landmarks, (("I", 1.0),)),
-                _slice_probe_result(
-                    measure, "e3", base, on_base, {"t": "down", "f": "down", "u": "up", "c": "up"}
-                ),
-                _first_failure(
-                    "e4", [_equal(mu, nu, on_base, x) for x in (on_comp, on_dual, on_neg)]
-                ),
-                _neutral_landmark_result("e5", landmarks),
-            )
+        for lo in range(0, sample.size, _BLOCK):
+            hi = min(lo + _BLOCK, sample.size)
+            mu, nu = sample.degrees(lo, hi)
+            growth = functools.partial(sample.growth, lo, hi)
+            for axiom, trials in _block_trials(family, measure, mu, nu, growth).items():
+                tallies.setdefault(axiom, _Tally(axiom)).add(trials)
+    if family == "cardinality":
+        results = (
+            _landmark_result("c1", landmarks, (("T", 1.0), ("F", 0.0), ("I", 0.5))),
+            _slice_probe_result(tallies["c2"], _C2_SLICES),
+            tallies["c3"].result(),
+            tallies["c4"].result(),
+            tallies["c5"].result(),
+        )
+    else:
+        results = (
+            _landmark_result("e1", landmarks, (("T", 0.0), ("F", 0.0))),
+            _landmark_result("e2", landmarks, (("I", 1.0),)),
+            _slice_probe_result(tallies["e3"], _E3_SLICES),
+            tallies["e4"].result(),
+            _neutral_landmark_result("e5", landmarks),
+        )
     return AuditReport(label, family, results)
 
 

@@ -311,6 +311,17 @@ class TestDiagnosticsAndDeterminism:
         assert err.value.code == 2
 
     @pytest.mark.parametrize(
+        "command, ignored", [("penta", False), ("setop", True), ("audit", True)]
+    )
+    def test_paper_rounding_help_says_where_it_is_ignored(self, command, ignored, capsys):
+        # setop writes six significant digits and audit reports hold no reals.
+        with pytest.raises(SystemExit) as err:
+            main([command, "--help"])
+        assert err.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert ("--paper-rounding accepted and ignored" in help_text) is ignored
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["dist", "P", "P", "P"], "dist/sim take one input (pairwise matrix) or two"),

@@ -1,12 +1,13 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import hypothesis.strategies as st
-from hypothesis import example, given
+from hypothesis import example, given, settings
 
 from pentafuzz import (
     AMBIGUOUS,
@@ -38,6 +39,7 @@ from pentafuzz import (
     matches_paper_pattern,
     negation,
 )
+from pentafuzz import measures
 from pentafuzz.dataio import write_audit
 from pentafuzz.kernel import decompose, penta_arrays
 from pentafuzz.measures import (
@@ -547,6 +549,83 @@ class TestAxiomAudit:
     def test_an_empty_random_sample_is_audited(self):
         report = axiom_audit(EntropyKind.BUSTINCE_BURILLO, grid_step=0.5, n_random=0)
         assert report.failed_axioms() == ("e2",)
+
+
+# Every audited measure: both families, gm under each vector norm.
+AUDITED = [(kind, VectorNorm.MAX) for kind in (*CardinalityKind, *EntropyKind)] + [
+    (EntropyKind.GRZEGORZEWSKI_MROWKA, VectorNorm.SUM)
+]
+
+
+class TestBlockedAudit:
+    """The audit evaluates its sample in blocks; the blocks change no byte of the report."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5])
+    def test_an_advanced_generator_draws_the_matching_stretch(self, seed):
+        # One float64 of random() takes one 64-bit output, so advancing the
+        # bit generator by offset skips exactly offset draws.
+        whole = np.random.default_rng(seed).random(5_000)
+        for offset, k in [(0, 0), (0, 7), (1, 1), (17, 300), (4_096, 904), (2_500, 2_500)]:
+            part = np.random.Generator(np.random.PCG64(seed).advance(offset)).random(k)
+            assert np.array_equal(part, whole[offset : offset + k])
+
+    @pytest.mark.parametrize(
+        "grid_step, n_random, seed", [(0.1, 1_000, 3), (1.0, 0, 0), (0.5, 37, 9)]
+    )
+    def test_blocks_hold_the_whole_sample_in_draw_order(self, grid_step, n_random, seed):
+        # The sample as one array: grid in meshgrid order, landmarks, then
+        # n_random mu draws and n_random nu draws; then one alpha and one
+        # beta per entry for the random containment step.
+        side = np.linspace(0.0, 1.0, round(1.0 / grid_step) + 1)
+        gm, gn = np.meshgrid(side, side)
+        rng = np.random.default_rng(seed)
+        lm_mu, lm_nu = measures._LM_MU, measures._LM_NU
+        mu = np.concatenate([gm.ravel(), lm_mu, rng.random(n_random)])
+        nu = np.concatenate([gn.ravel(), lm_nu, rng.random(n_random)])
+        alphas, betas = rng.random(mu.size), rng.random(mu.size)
+        sample = measures._Sample(side, n_random, np.random.SeedSequence(seed))
+        assert sample.size == mu.size
+        for block in (1, 7, 100, mu.size):
+            edges = [*range(0, mu.size, block), mu.size]
+            blocks = [
+                (*sample.degrees(lo, hi), *sample.growth(lo, hi))
+                for lo, hi in zip(edges, edges[1:])
+            ]
+            for whole, parts in zip((mu, nu, alphas, betas), zip(*blocks)):
+                assert np.array_equal(np.concatenate(parts), whole)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from(AUDITED),
+        st.integers(1, 20),
+        st.integers(0, 20_000),
+        st.integers(0, 2**64 - 1),
+    )
+    @example((EntropyKind.BUSTINCE_BURILLO, VectorNorm.MAX), 1, 0, 0)
+    @example((CardinalityKind.FROM_PE, VectorNorm.MAX), 20, 20_000, 0)
+    @example((CardinalityKind.CLASSIC_MAX, VectorNorm.MAX), 20, 9_000, 1)
+    def test_block_size_does_not_change_the_report(self, audited, steps, n_random, seed):
+        kind, norm = audited
+        args = dict(vector_norm=norm, grid_step=1 / steps, n_random=n_random, seed=seed)
+        size = (steps + 1) ** 2 + 5 + n_random
+        reports = []
+        for block in (measures._BLOCK, 1_000, 7_919, size + 1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(measures, "_BLOCK", block)
+                report = axiom_audit(kind, **args)
+            reports.append([write_audit(report, fmt) for fmt in ("csv", "json")])
+        assert all(r == reports[0] for r in reports[1:])
+
+    def test_memory_stays_bounded_at_a_million_random_points(self):
+        # A whole-sample audit peaked at about 209 MB here; the blocks hold
+        # a few dozen arrays of _BLOCK entries at a time.
+        tracemalloc.start()
+        try:
+            axiom_audit(CardinalityKind.FROM_PE, n_random=1_000_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
 
 
 def _nudged(x: float, ulps: int) -> float:
