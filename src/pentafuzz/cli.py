@@ -13,14 +13,15 @@ import inspect
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
+from typing import Iterable
 
 from . import __version__
 from .algebra import NORM_PAIRS, BipolarFuzzySet, SetOpKind, set_op
-from .dataio import ReportMetadata, _write_report, read_dataset, write_audit, write_dataset
+from .dataio import (
+    ReportMetadata, _Indexed, _write_report, read_dataset, write_audit, write_dataset
+)
 from .errors import DatasetError, PentafuzzError, ValidationError
-from .kernel import classify_arrays, decompose
+from .kernel import _CLASS_TEXTS, _class_codes, decompose
 from .measures import (
     CardinalityKind,
     EntropyKind,
@@ -34,7 +35,7 @@ from .measures import (
     entropy_set,
     matches_paper_pattern,
 )
-from .metrics import Aggregation, DistanceKind, _pairwise, set_distance
+from .metrics import Aggregation, DistanceKind, _pairwise_blocks, set_distance
 
 # The audit's measure families, by their --family name.
 _FAMILIES = {"card": CardinalityKind, "entropy": EntropyKind}
@@ -61,7 +62,8 @@ def _load(path: Path) -> BipolarFuzzySet:
 
 def _element_columns(dataset, card_kinds=(), entropy_kinds=(), vector_norm=VectorNorm.MAX):
     """The element table's columns in universe order: ids, the decomposition,
-    classes, and a measure array per cardinality kind, then per entropy kind.
+    classes (an indexed text column), and a measure array per cardinality kind,
+    then per entropy kind.
 
     A measure undefined at some element raises the pointwise error of the
     first such element; with several kinds, the first kind's is raised.
@@ -69,11 +71,13 @@ def _element_columns(dataset, card_kinds=(), entropy_kinds=(), vector_norm=Vecto
     d = decompose(*dataset.arrays())
     measures = [cardinality_array(k, d) for k in card_kinds]
     measures += [entropy_array(k, d, vector_norm) for k in entropy_kinds]
-    return dataset.universe, d, classify_arrays(d.mu, d.nu), measures
+    classes = _Indexed(_CLASS_TEXTS, _class_codes(d.mu, d.nu))
+    return dataset.universe, d, classes, measures
 
 
-def _report(args, elements=(), aggregates=(), pairs=None, **metadata) -> bytes:
-    """A measure report on the inputs, named after their stems, in the chosen format."""
+def _report(args, elements=(), aggregates=(), pairs=None, **metadata) -> Iterable[bytes]:
+    """A measure report on the inputs, named after their stems, in the chosen format,
+    in blocks of bytes."""
     # A stem's bytes that are not UTF-8 are written as backslash escapes, such as \xff.
     stems = (os.fsencode(path.stem).decode("utf-8", "backslashreplace") for path in args.inputs)
     meta = ReportMetadata(
@@ -85,11 +89,11 @@ def _report(args, elements=(), aggregates=(), pairs=None, **metadata) -> bytes:
     return _write_report(meta, elements, aggregates, pairs, args.format)
 
 
-def _penta(args) -> bytes:
+def _penta(args) -> Iterable[bytes]:
     return _report(args, _element_columns(_load(args.inputs[0])))
 
 
-def _distance(args) -> bytes:
+def _distance(args) -> Iterable[bytes]:
     kind = DistanceKind(args.kind)
     similarity = args.command == "sim"
     if len(args.inputs) > 2:
@@ -98,9 +102,11 @@ def _distance(args) -> bytes:
         if args.agg is not None:
             args.usage_error("--agg applies to the two-set form only")
         dataset = _load(args.inputs[0])
-        j, k, values = _pairwise(kind, dataset, similarity)
-        ids = np.array(dataset.universe, dtype=object)
-        pairs = (ids[j].tolist(), ids[k].tolist(), values)
+        ids = dataset.universe
+        pairs = (
+            (_Indexed(ids, j), _Indexed(ids, k), values)
+            for j, k, values in _pairwise_blocks(kind, dataset, similarity)
+        )
         return _report(args, _element_columns(dataset), pairs=pairs, distance_kind=args.kind)
     agg = args.agg or Aggregation.MEAN.value
     d = set_distance(kind, *map(_load, args.inputs), Aggregation(agg))
@@ -108,7 +114,7 @@ def _distance(args) -> bytes:
     return _report(args, aggregates=(aggregate,), distance_kind=args.kind, aggregation=agg)
 
 
-def _card(args) -> bytes:
+def _card(args) -> Iterable[bytes]:
     kind = CardinalityKind(args.kind)
     dataset = _load(args.inputs[0])
     elements = _element_columns(dataset, card_kinds=(kind,))
@@ -126,7 +132,7 @@ def _vector_norm(args) -> VectorNorm:
     return VectorNorm(args.vector_norm or VectorNorm.MAX.value)
 
 
-def _entropy(args) -> bytes:
+def _entropy(args) -> Iterable[bytes]:
     kind, norm = EntropyKind(args.kind), _vector_norm(args)
     dataset = _load(args.inputs[0])
     elements = _element_columns(dataset, entropy_kinds=(kind,), vector_norm=norm)
@@ -134,16 +140,16 @@ def _entropy(args) -> bytes:
     return _report(args, elements, aggregates, entropy_kinds=(args.kind,))
 
 
-def _setop(args) -> bytes:
+def _setop(args) -> Iterable[bytes]:
     kind = SetOpKind(args.kind)
     expected = 2 if kind in (SetOpKind.UNION, SetOpKind.INTERSECTION) else 1
     if len(args.inputs) != expected:
         args.usage_error(f"setop {args.kind} takes exactly {expected} input file(s)")
     result = set_op(kind, *map(_load, args.inputs), norms=NORM_PAIRS[args.tnorm])
-    return write_dataset(result, args.format)
+    return [write_dataset(result, args.format)]
 
 
-def _audit(args) -> bytes:
+def _audit(args) -> Iterable[bytes]:
     owners = [name for name, enum in _FAMILIES.items() if args.kind in _values(enum)]
     if args.family is None and len(owners) > 1:
         args.usage_error(f"--kind {args.kind} exists in both families; pass --family")
@@ -164,7 +170,7 @@ def _audit(args) -> bytes:
               f"pass/fail pattern: failed axioms {failed}", file=sys.stderr)
         args.status = 1
     # A sample other than the default is recorded, so the report can be re-run.
-    return write_audit(report, args.format, () if sample == _SAMPLE_DEFAULTS else drawn)
+    return [write_audit(report, args.format, () if sample == _SAMPLE_DEFAULTS else drawn)]
 
 
 @functools.cache  # built on the first call, not at import
@@ -235,16 +241,22 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        data = args.run(args)
+        # A handler returns its report as an iterable of byte blocks, and runs
+        # every check before the first block: a failed check writes no byte.
+        blocks = iter(args.run(args))
+        first = next(blocks, b"")
     except PentafuzzError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out is None:
-        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.write(first)
+        sys.stdout.buffer.writelines(blocks)
         sys.stdout.buffer.flush()
     else:
         try:
-            args.out.write_bytes(data)
+            with open(args.out, "wb") as fh:
+                fh.write(first)
+                fh.writelines(blocks)
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
             return 1

@@ -21,7 +21,7 @@ from decimal import ROUND_DOWN, ROUND_HALF_EVEN, Context, Decimal
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import BinaryIO, NamedTuple, Sequence
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -154,6 +154,16 @@ def _text_cells(texts: list[str], width: int | None = None) -> _Cells:
     mask = np.arange(width) < np.where(wide, 0, lens)[:, None]
     long = {r: texts[r].encode("utf-8") for r in np.flatnonzero(wide).tolist()}
     return _Cells(chars, mask, long)
+
+
+def _take(cells: _Cells, index: np.ndarray) -> _Cells:
+    """The cells of rows index[0], index[1], ... of these cells."""
+    long = {}
+    if cells.long:
+        rows = np.flatnonzero(np.isin(index, list(cells.long)))
+        long = {r: cells.long[i] for r, i in zip(rows.tolist(), index[rows].tolist())}
+    # np.take moves whole rows, much faster here than indexing with chars[index].
+    return _Cells(np.take(cells.chars, index, axis=0), np.take(cells.mask, index, axis=0), long)
 
 
 def _real_cells(values, paper: bool, json_numbers: bool = False) -> _Cells:
@@ -439,9 +449,16 @@ def read_dataset(source: BinaryIO, fmt: str) -> BipolarFuzzySet:
 # ---------------------------------------------------------------------------
 
 
+class _Indexed(NamedTuple):
+    """A text column given as its distinct texts and, for each row, the index of its text."""
+
+    texts: Sequence
+    index: np.ndarray
+
+
 class _Column(NamedTuple):
     name: str
-    cells: Sequence
+    cells: Sequence | _Indexed
     real: bool  # reals go through _real_cells; other cells are text
 
 
@@ -466,43 +483,68 @@ def _json_texts(cells: Sequence) -> list[str]:
     return list(map(json.dumps, cells))
 
 
-def _cells(col: _Column, fmt: str, paper: bool) -> _Cells:
-    """A column's cells as CSV fields or JSON values."""
+def _text_column(cells: Sequence, fmt: str) -> _Cells:
+    return _text_cells(_json_texts(cells) if fmt == "json" else _csv_texts(cells))
+
+
+def _cells(col: _Column, fmt: str, paper: bool, formatted: dict) -> _Cells:
+    """A column's cells as CSV fields or JSON values.  An indexed column's texts are
+    formatted once per table: formatted maps id(texts) to (texts, their cells), and
+    holding the texts keeps another object from taking their id."""
     if col.real:
         return _real_cells(col.cells, paper, json_numbers=fmt == "json")
-    return _text_cells(_json_texts(col.cells) if fmt == "json" else _csv_texts(col.cells))
+    if not isinstance(col.cells, _Indexed):
+        return _text_column(col.cells, fmt)
+    texts, index = col.cells
+    if id(texts) not in formatted:
+        formatted[id(texts)] = texts, _text_column(texts, fmt)
+    return _take(formatted[id(texts)][1], index)
 
 
-def _table_rows(columns: list[_Column], fmt: str, paper: bool, level: int = 0) -> bytes:
+def _table_rows(
+    columns: list[_Column], fmt: str, paper: bool, level: int = 0, formatted=None
+) -> bytes:
     """The table's rows: CSV lines, or JSON objects laid out as json.dumps(indent=2)
     at this depth, each followed by a comma.  Each row's bytes depend on that row only."""
+    formatted = {} if formatted is None else formatted
     pieces = []
     if fmt == "csv":
         for col in columns:
-            pieces += [_cells(col, fmt, paper), b","]
+            pieces += [_cells(col, fmt, paper, formatted), b","]
         pieces[-1] = b"\n"
     else:
         pad = "  " * (level + 1)
         lead = pad + "{\n"
         for key, col in zip(_json_texts([col.name for col in columns]), columns):
-            pieces += [f"{lead}{pad}  {key}: ".encode("ascii"), _cells(col, fmt, paper)]
+            pieces += [f"{lead}{pad}  {key}: ".encode("ascii"), _cells(col, fmt, paper, formatted)]
             lead = ",\n"
         pieces.append(f"\n{pad}}},\n".encode("ascii"))
     return _render_rows(pieces)
 
 
-def _csv_table(columns: list[_Column], paper: bool) -> bytes:
-    """Header line and one line per row, each ending in a newline."""
-    header = ",".join(_csv_texts([col.name for col in columns])) + "\n"
-    return header.encode("utf-8") + _table_rows(columns, "csv", paper)
+def _csv_table(blocks: Iterable[list[_Column]], paper: bool) -> Iterator[bytes]:
+    """The header line, then the rows of each block of the table's columns in turn,
+    each line ending in a newline.  The first of the blocks, which must be at least
+    one, names the columns."""
+    formatted: dict = {}
+    for n, columns in enumerate(blocks):
+        if n == 0:
+            yield (",".join(_csv_texts([col.name for col in columns])) + "\n").encode("utf-8")
+        yield _table_rows(columns, "csv", paper, formatted=formatted)
 
 
-def _json_records(columns: list[_Column], paper: bool, level: int) -> bytes:
-    """The rows as a JSON array of objects, laid out as json.dumps(indent=2) at this depth."""
-    if len(columns[0].cells) == 0:  # numpy cells have no truth value
-        return b"[]"
-    rows = _table_rows(columns, "json", paper, level)[:-2]  # no comma after the last
-    return b"[\n" + rows + b"\n" + b"  " * level + b"]"
+def _json_records(blocks: Iterable[list[_Column]], paper: bool, level: int) -> Iterator[bytes]:
+    """The rows of each block of the table's columns in turn, as one JSON array of
+    objects laid out as json.dumps(indent=2) at this depth."""
+    formatted: dict = {}
+    lead = b"[\n"
+    for columns in blocks:
+        rows = _table_rows(columns, "json", paper, level, formatted=formatted)
+        if rows:
+            # A block's last comma goes before the next block's rows, or is dropped.
+            yield lead + rows[:-2]
+            lead = b",\n"
+    yield b"[]" if lead == b"[\n" else b"\n" + b"  " * level + b"]"
 
 
 def _nested_json(value) -> bytes:
@@ -510,11 +552,15 @@ def _nested_json(value) -> bytes:
     return json.dumps(value, indent=2).replace("\n", "\n  ").encode("ascii")
 
 
-def _json_object(members: list[tuple[str, bytes]]) -> bytes:
-    """A document laid out as json.dumps(indent=2) of a dict, from its keys and the
-    bytes of their values, each already laid out one level down."""
-    body = b",\n".join(b'  "%s": %s' % (key.encode("ascii"), value) for key, value in members)
-    return b"{\n" + body + b"\n}\n"
+def _json_object(members: list[tuple[str, bytes | Iterable[bytes]]]) -> Iterator[bytes]:
+    """A document laid out as json.dumps(indent=2) of a dict, from its keys and their
+    values, each already laid out one level down: bytes, or an iterable of blocks of bytes."""
+    lead = b"{\n"
+    for key, value in members:
+        yield b'%s  "%s": ' % (lead, key.encode("ascii"))
+        yield from [value] if isinstance(value, bytes) else value
+        lead = b",\n"
+    yield b"\n}\n"
 
 
 def _comments(pairs: list[tuple[str, object]]) -> bytes:
@@ -537,8 +583,8 @@ def write_dataset(s: BipolarFuzzySet, fmt: str) -> bytes:
         _Column("nu", nu, True),
     ]
     if fmt == "csv":
-        return _csv_table(columns, paper=False)
-    return _json_records(columns, paper=False, level=0) + b"\n"
+        return b"".join(_csv_table([columns], paper=False))
+    return b"".join(_json_records([columns], paper=False, level=0)) + b"\n"
 
 
 # ---------------------------------------------------------------------------
@@ -608,29 +654,34 @@ def _metadata_pairs(meta: ReportMetadata) -> list[tuple[str, object]]:
     ]
 
 
-def _write_report(meta: ReportMetadata, elements, aggregates, pairs, fmt: str) -> bytes:
-    """The one measure report body: metadata, the element table from its columns
-    (ids, penta, classes, measures: _element_table's arguments), the (name, value)
-    aggregates and, unless pairs is None, the pair columns (a, b, value)."""
+def _write_report(meta: ReportMetadata, elements, aggregates, pairs, fmt: str) -> Iterator[bytes]:
+    """The one measure report body, in blocks of bytes: metadata, the element table
+    from its columns (ids, penta, classes, measures: _element_table's arguments), the
+    (name, value) aggregates and, unless pairs is None, the pair table from blocks of
+    its columns (a, b, value), at least one block."""
     paper = meta.paper_rounding
-    elements = _element_table(meta, *elements)
+    elements = [_element_table(meta, *elements)]
     names = [name for name, _ in aggregates]
     values = [value for _, value in aggregates]
     if pairs is not None:
-        pairs = list(map(_Column, ("a", "b", "value"), pairs, (False, False, True)))
+        pairs = (list(map(_Column, ("a", "b", "value"), block, (False, False, True)))
+                 for block in pairs)
 
     if fmt == "csv":
-        parts = [_comments(_metadata_pairs(meta)), _csv_table(elements, paper)]
+        yield _comments(_metadata_pairs(meta))
+        yield from _csv_table(elements, paper)
         if aggregates:
             totals = [_Column("aggregate", names, False), _Column("value", values, True)]
-            parts += [b"\n", _csv_table(totals, paper)]
+            yield b"\n"
+            yield from _csv_table([totals], paper)
         if pairs is not None:
-            parts += [b"\n", _csv_table(pairs, paper)]
-        return b"".join(parts)
+            yield b"\n"
+            yield from _csv_table(pairs, paper)
+        return
 
     # A dict: a repeated aggregate name keeps its last value.
     aggregate_doc = dict(zip(names, map(float, format_reals(values, paper=paper))))
-    return _json_object([
+    yield from _json_object([
         ("metadata", _nested_json(dict(_metadata_pairs(meta)))),
         ("elements", _json_records(elements, paper, level=1)),
         ("aggregates", _nested_json(aggregate_doc)),
@@ -654,8 +705,9 @@ def write_report(report: MeasureReport, fmt: str) -> bytes:
         measures += [[getattr(row, field)[j] for row in rows] for j in range(len(kinds))]
     names = ("element_id", *PentaArrays._fields, "value_class")
     ids, *penta, classes = (list(map(attrgetter(name), rows)) for name in names)
-    pairs = None if report.similarity is None else list(zip(*report.similarity)) or [()] * 3
-    return _write_report(meta, (ids, penta, classes, measures), report.aggregates, pairs, fmt)
+    pairs = None if report.similarity is None else [list(zip(*report.similarity)) or [()] * 3]
+    elements = (ids, penta, classes, measures)
+    return b"".join(_write_report(meta, elements, report.aggregates, pairs, fmt))
 
 
 _AUDIT_FIELDS = ("axiom", "verdict", "checked", "witness", "note")
@@ -677,7 +729,8 @@ def write_audit(report: AuditReport, fmt: str, sample=()) -> bytes:
     cells = list(zip(*rows)) or [()] * len(_AUDIT_FIELDS)
     table = list(map(_Column, _AUDIT_FIELDS, cells, repeat(False)))
     if fmt == "csv":
-        return _comments(head) + _csv_table(table, paper=False)
+        return _comments(head) + b"".join(_csv_table([table], paper=False))
     head.append(("overall", verdict[report.passed]))
     members = [(key, _nested_json(value)) for key, value in head]
-    return _json_object(members + [("axioms", _json_records(table, paper=False, level=1))])
+    members.append(("axioms", _json_records([table], paper=False, level=1)))
+    return b"".join(_json_object(members))

@@ -372,8 +372,13 @@ _CLASSES = (ValueClass.FUZZY, ValueClass.INTUITIONISTIC, ValueClass.PARACONSISTE
 _CLASS_TEXTS = np.array([c.value for c in _CLASSES], dtype=object)
 
 
+def _class_codes(mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """classify(...) for every entry of two degree arrays, as an index into _CLASSES:
+    0 fuzzy, 1 intuitionistic, 2 paraconsistent."""
+    total = mu + nu
+    return np.where(np.abs(total - 1.0) <= EPSILON, 0, np.where(total < 1.0, 1, 2))
+
+
 def classify_arrays(mu: np.ndarray, nu: np.ndarray) -> list[str]:
     """classify(...).value for every entry of two degree arrays, in order."""
-    total = mu + nu
-    code = np.where(np.abs(total - 1.0) <= EPSILON, 0, np.where(total < 1.0, 1, 2))
-    return _CLASS_TEXTS[code].tolist()
+    return _CLASS_TEXTS[_class_codes(mu, nu)].tolist()

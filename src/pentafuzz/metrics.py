@@ -195,13 +195,37 @@ def set_distance(
     raise ValidationError(f"unknown aggregation {aggregation!r}")
 
 
-def _pairwise(kind: DistanceKind, s: BipolarFuzzySet, similarity: bool):
-    """Arrays (j, k, values): the universe positions j > k of every pair, in
-    pairwise_matrix's order, and the pair's distance or similarity."""
+# Pairs per block of _pairwise_blocks, at least: a block holds whole rows.
+_PAIR_BLOCK = 2**16
+
+
+def _pairwise_blocks(kind: DistanceKind, s: BipolarFuzzySet, similarity: bool):
+    """Blocks (j, k, values) of pairwise_matrix's pairs, in its order: the universe
+    positions j > k of each pair and the pair's distance or similarity.
+
+    A block holds the whole rows j = lo, ..., hi - 1, each pairing with
+    k = 0, ..., j - 1, as many rows as fit in _PAIR_BLOCK pairs and at
+    least one.  There is at least one block, empty when the set has fewer
+    than two elements.  The set is decomposed before this returns.
+    """
     d = decompose(*s.arrays())
-    j, k = np.tril_indices(len(s), -1)
-    dist = _combine_arrays(kind, d.tau[j], d.omega[j], d.tau[k], d.omega[k])
-    return j, k, 1.0 - dist if similarity else dist
+    n = len(s)
+    # before[m]: the pairs in the rows above row m.
+    before = np.arange(n + 1) * np.arange(-1, n) // 2
+    bounds = [0]
+    while bounds[-1] < n or len(bounds) == 1:
+        lo = bounds[-1]
+        hi = int(np.searchsorted(before, before[lo] + _PAIR_BLOCK, side="right")) - 1
+        bounds.append(min(max(hi, lo + 1), n))
+
+    def block(lo: int, hi: int):
+        rows = np.arange(lo, hi)
+        j = np.repeat(rows, rows)
+        k = np.arange(len(j)) - np.repeat(before[lo:hi] - before[lo], rows)
+        dist = _combine_arrays(kind, d.tau[j], d.omega[j], d.tau[k], d.omega[k])
+        return j, k, 1.0 - dist if similarity else dist
+
+    return (block(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
 
 
 def pairwise_matrix(
@@ -214,6 +238,9 @@ def pairwise_matrix(
     Rows follow universe order: for elements e0, e1, ... the entries are
     (e1, e0), (e2, e0), (e2, e1), ...
     """
-    j, k, values = _pairwise(kind, s, similarity)
     ids = np.array(s.universe, dtype=object)
-    return tuple(zip(ids[j].tolist(), ids[k].tolist(), values.tolist()))
+    return tuple(
+        pair
+        for j, k, values in _pairwise_blocks(kind, s, similarity)
+        for pair in zip(ids[j].tolist(), ids[k].tolist(), values.tolist())
+    )

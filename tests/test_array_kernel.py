@@ -52,7 +52,14 @@ from pentafuzz import (
     union,
 )
 from pentafuzz.cli import _element_columns, main
-from pentafuzz.dataio import ElementRow, MeasureReport, ReportMetadata, read_dataset, write_report
+from pentafuzz.dataio import (
+    ElementRow,
+    MeasureReport,
+    ReportMetadata,
+    _Indexed,
+    read_dataset,
+    write_report,
+)
 from pentafuzz.kernel import PentaArrays, decompose, penta_arrays
 
 SMALLEST_NORMAL = 2.2250738585072014e-308
@@ -177,6 +184,8 @@ def scalar_element_columns(s, card_kinds=(), entropy_kinds=(), norm=VectorNorm.M
 
 
 def column_bits(ids, penta, classes, measures):
+    if isinstance(classes, _Indexed):  # the CLI's classes: three texts and a code per element
+        classes = [classes.texts[code] for code in classes.index.tolist()]
     return list(ids), [bits(col) for col in penta], list(classes), [bits(col) for col in measures]
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -90,6 +91,19 @@ class TestSimAndDist:
     def test_fixture_happy_path(self, landmark_dataset_path):
         assert main(["sim", "--kind", "pp", str(landmark_dataset_path)]) == 0
         assert main(["dist", "--kind", "pe", str(landmark_dataset_path)]) == 0
+
+    def test_memory_stays_bounded_at_a_thousand_elements(self, tmp_path):
+        # The whole report, 499,500 pairs, peaked at about 94 MB here; the
+        # table is written in blocks of rows, with the ids formatted once.
+        rows = [f"e{k:04d},{k / 1000!r},{(999 - k) / 2000!r}" for k in range(1000)]
+        path = write(tmp_path, "big.csv", "id,mu,nu\n" + "\n".join(rows) + "\n")
+        tracemalloc.start()
+        try:
+            assert main(["sim", str(path), "--kind", "pe", "--out", str(tmp_path / "r.csv")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
 
 
 class TestCard:
@@ -346,6 +360,32 @@ class TestDiagnosticsAndDeterminism:
         assert err == f"error: cannot write {out}: No such file or directory\n"
         assert main(["penta", str(p1_pair), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: ")
+
+    # A pair table is written block by block, after every check has passed.
+    BAD_LAST_ROW = "id,mu,nu\na,0.8,0.2\nb,1,0\nc,x,0.2\n"
+    BAD_LAST_ROW_ERROR = "error: line 4: mu/nu must be numbers, got 'x', '0.2'\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_bad_last_row_writes_no_byte(self, tmp_path, capsysbinary, fmt):
+        path = write(tmp_path, "bad.csv", self.BAD_LAST_ROW)
+        out = tmp_path / "r.csv"
+        assert main(["sim", str(path), "--format", fmt]) == 1
+        assert capsysbinary.readouterr() == (b"", self.BAD_LAST_ROW_ERROR.encode())
+        assert main(["sim", str(path), "--format", fmt, "--out", str(out)]) == 1
+        assert capsysbinary.readouterr() == (b"", self.BAD_LAST_ROW_ERROR.encode())
+        assert not out.exists()
+
+    def test_a_streamed_report_to_a_directory_is_a_validation_error(
+        self, p1_pair, tmp_path, capsys
+    ):
+        assert main(["sim", str(p1_pair), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: ")
+
+    def test_a_bad_input_is_reported_before_an_unwritable_out(self, tmp_path, capsys):
+        path = write(tmp_path, "bad.csv", self.BAD_LAST_ROW)
+        for out in (tmp_path, tmp_path / "missing" / "r.csv"):
+            assert main(["sim", str(path), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == self.BAD_LAST_ROW_ERROR
 
     def test_byte_identical_output_for_same_argv(self, landmark_dataset_path, tmp_path):
         out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"

@@ -9,17 +9,23 @@ write_report, write_dataset and write_audit format whole columns at once
 and lay out CSV and JSON from one column schema; they must write the
 reference writers' bytes, and read_dataset must read write_dataset's
 back.  The split tokenizer must read what csv.reader reads, and a
-table's rows must render alike whole or in blocks.
+table's rows must render alike whole or in blocks.  The CLI's pair table,
+written in row blocks with its ids gathered from the formatted universe,
+must be write_report's bytes for the same pairs.
 """
 
 import csv
 import io
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
-from pentafuzz import BipolarFuzzySet, BipolarValue, DatasetError
+from pentafuzz import BipolarFuzzySet, BipolarValue, DatasetError, __version__, metrics
+from pentafuzz.cli import main
 from pentafuzz.dataio import (
     ElementRow,
     MeasureReport,
@@ -36,7 +42,9 @@ from pentafuzz.dataio import (
     write_dataset,
     write_report,
 )
+from pentafuzz.kernel import classify_arrays, decompose
 from pentafuzz.measures import AuditReport, AxiomResult
+from pentafuzz.metrics import DistanceKind, pairwise_matrix
 from reference_io import (
     reference_read,
     reference_write_audit,
@@ -360,7 +368,7 @@ def test_one_long_text_does_not_widen_the_matrix():
 )
 @example(list(zip(PADDING_IDS, MIXED_REALS, MIXED_REALS)) * 3, "csv", False)
 def test_rows_render_alike_in_blocks(rows, fmt, paper):
-    # Groundwork for streamed output: a row's bytes depend on that row only.
+    # A pair table is written in blocks of rows: a row's bytes depend on that row only.
     cells = list(map(list, zip(*rows))) or [[], [], []]
     reals = (False, True, True)
     columns = [_Column(name, col, real) for name, col, real in zip("abc", cells, reals)]
@@ -371,3 +379,64 @@ def test_rows_render_alike_in_blocks(rows, fmt, paper):
             for k in range(0, len(rows), size)
         ]
         assert b"".join(_table_rows(block, fmt, paper) for block in blocks) == whole
+
+
+@st.composite
+def pair_sets(draw):
+    """Records (id, mu, nu) with ids from ODD_IDS and, mostly, one id wider than
+    twice the mean width of the formatted ids, which their matrix keeps aside."""
+    ids = draw(st.lists(ODD_IDS, unique=True, max_size=9))
+    if draw(st.integers(0, 3)):
+        wide = "wide," + "\u00e9" * (12 * sum(map(len, ids)) + 8)
+        ids.insert(draw(st.integers(0, len(ids))), wide)
+    return [(eid, draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))) for eid in ids]
+
+
+def tuple_report(s, command, kind, paper):
+    """The MeasureReport of `command --kind kind` on s, its pairs from pairwise_matrix."""
+    d = decompose(*s.arrays())
+    columns = [column.tolist() for column in d]
+    rows = tuple(
+        ElementRow(eid, *values, value_class)
+        for eid, *values, value_class in zip(s.universe, *columns, classify_arrays(d.mu, d.nu))
+    )
+    meta = ReportMetadata("data", __version__, distance_kind=kind.value, paper_rounding=paper)
+    return MeasureReport(meta, rows, (), pairwise_matrix(kind, s, similarity=command == "sim"))
+
+
+SEVEN = [(f"e{k}", k / 7, 0.5) for k in range(7)]  # 21 pairs: three blocks' worth of 7
+WIDE_FOURTH = SEVEN[:3] + [(LONG_ID, 0.1, 0.2)] + SEVEN[3:]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    pair_sets(),
+    st.sampled_from([1, 7, "n"]),
+    st.sampled_from(["csv", "json"]),
+    st.booleans(),
+    st.sampled_from(["sim", "dist"]),
+    st.sampled_from(DistanceKind),
+)
+@example([], "n", "csv", False, "sim", DistanceKind.PSEUDO_EUCLID)
+@example([], 1, "json", True, "dist", DistanceKind.PSEUDO_HAMMING)
+@example([("a,b", 0.5, 0.25)], 7, "json", False, "sim", DistanceKind.PSEUDO_PROB)
+@example([("a", 0.5, 0.25)], "n", "csv", True, "dist", DistanceKind.PSEUDO_EUCLID)
+@example(SEVEN, 7, "json", False, "sim", DistanceKind.PSEUDO_EUCLID)
+@example(SEVEN[:5], "n", "json", True, "dist", DistanceKind.PSEUDO_PROB)
+@example(WIDE_FOURTH, 7, "csv", False, "sim", DistanceKind.PSEUDO_EUCLID)
+def test_blocked_pair_tables_write_the_tuple_report_bytes(
+    records, block, fmt, paper, command, kind
+):
+    # Blocks of one row at a time, of a few rows, and of the whole table; a
+    # JSON table's last comma is dropped at the end of its last block.
+    block = max(len(records), 1) if block == "n" else block
+    doc = [{"id": eid, "mu": mu, "nu": nu} for eid, mu, nu in records]
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "data.json", Path(tmp) / "report"
+        path.write_text(json.dumps(doc))
+        argv = [command, str(path), "--kind", kind.value, "--format", fmt, "--out", str(out)]
+        with mock.patch.object(metrics, "_PAIR_BLOCK", block):
+            assert main(argv + ["--paper-rounding"] * paper) == 0
+        got = out.read_bytes()
+    s = BipolarFuzzySet((eid, BipolarValue(mu, nu)) for eid, mu, nu in records)
+    assert got == write_report(tuple_report(s, command, kind, paper), fmt)
