@@ -237,7 +237,8 @@ class BipolarFuzzySet:
 
 def check_same_universe(a: BipolarFuzzySet, b: BipolarFuzzySet) -> None:
     """Raise UniverseMismatchError carrying the symmetric difference."""
-    left, right = set(a.universe), set(b.universe)
+    # The id -> position dicts' key views compare as sets, without building one.
+    left, right = a._index.keys(), b._index.keys()
     if left != right:
         raise UniverseMismatchError(sorted(left - right), sorted(right - left))
 

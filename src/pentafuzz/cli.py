@@ -101,13 +101,13 @@ def _distance(args) -> Iterable[bytes]:
     if len(args.inputs) == 1:
         if args.agg is not None:
             args.usage_error("--agg applies to the two-set form only")
-        dataset = _load(args.inputs[0])
-        ids = dataset.universe
+        elements = _element_columns(_load(args.inputs[0]))
+        ids, d = elements[:2]
         pairs = (
             (_Indexed(ids, j), _Indexed(ids, k), values)
-            for j, k, values in _pairwise_blocks(kind, dataset, similarity)
+            for j, k, values in _pairwise_blocks(kind, d, similarity)
         )
-        return _report(args, _element_columns(dataset), pairs=pairs, distance_kind=args.kind)
+        return _report(args, elements, pairs=pairs, distance_kind=args.kind)
     agg = args.agg or Aggregation.MEAN.value
     d = set_distance(kind, *map(_load, args.inputs), Aggregation(agg))
     aggregate = ("set_similarity", 1.0 - d) if similarity else ("set_distance", d)

@@ -18,12 +18,13 @@ import json
 import re
 from dataclasses import dataclass, fields
 from decimal import ROUND_DOWN, ROUND_HALF_EVEN, Context, Decimal
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .algebra import BipolarFuzzySet
 from .errors import DatasetError, ValidationError
@@ -312,25 +313,6 @@ def _check_csv_row(lineno: int, row: list[str], seen: set[str]) -> None:
     _check_value(eid, mu, nu, f"line {lineno}")
 
 
-def _split_columns(text: str) -> tuple[list[str], list[str], list[str]] | None:
-    """The id, mu and nu columns of the lines below the header, split with str.split.
-
-    For a text with no '"' and no '\\r', csv.reader splits at every comma
-    and newline and skips blank lines, and so does this.  None unless each
-    of those lines has exactly two commas and fits csv's field limit, as in a valid text.
-    """
-    lines = text.split("\n")[1:]
-    if "" in lines:
-        lines = list(filter(None, lines))  # blank lines are skipped
-    if set(map(str.count, lines, repeat(","))) - {2}:
-        return None
-    limit = csv.field_size_limit()
-    if len(text) > limit and max(map(len, lines), default=0) > limit:
-        return None  # csv.reader names the line
-    cells = ",".join(lines).split(",") if lines else []
-    return cells[0::3], cells[1::3], cells[2::3]
-
-
 def _check_csv(text: str) -> None:
     """Every check of a CSV text, from the top: the header's, then each data row's in
     order, each tokenizer error at its line; raises the first that fails."""
@@ -349,31 +331,184 @@ def _check_csv(text: str) -> None:
         raise DatasetError(f"line {reader.line_num}: {exc}") from None
 
 
-def _read_csv(text: str) -> BipolarFuzzySet:
-    if '"' not in text and "\r" not in text and text.partition("\n")[0] == "id,mu,nu":
-        columns = _split_columns(text)
-    else:
-        try:
-            records = list(csv.reader(io.StringIO(text)))
-        except csv.Error:  # the walk below names the line
-            records = []
-        rows = [row for row in records[1:] if row]  # blank lines are skipped
-        columns = None
-        if records[:1] == [["id", "mu", "nu"]] and set(map(len, rows)) <= {3}:
-            columns = tuple(zip(*rows)) if rows else ((), (), ())
+# The byte route.  A CSV text with no '"' and no '\r' is split at the commas
+# and newlines of its UTF-8 bytes: csv.reader splits such a text at every
+# comma and newline and skips blank lines, and so does this.  Only the ids
+# become strings; each degree field is parsed from its bytes.
+#
+# A field d.ddd... with k = 1..19 decimals (k < 19 unless d is 0) is the
+# decimal m / 10**k with m < 10**19 < 2**64.  d is read on its own; the
+# field's last 24 bytes are read as three little-endian uint64 lanes of
+# eight ASCII digits, the bytes before the decimals set to '0', and each
+# lane is reduced to its integer with three multiplications (SWAR, SIMD
+# within a register).  Where m < 2**53, m
+# and 10**k are exact doubles, so one float64 division rounds m / 10**k
+# correctly, as float() does (Clinger's fast path).  Where m is larger and a
+# long double holds 64 significand bits, m and 10**k are exact long doubles
+# and one division rounds m / 10**k to 64 bits; rounding that to float64
+# gives the correctly rounded double unless the 64-bit quotient lies on a
+# midpoint between two doubles, where the second rounding may break a tie
+# the first one made; such quotients, and the few next to a midpoint, are
+# set aside.  Every field the kernel does not take goes through _parse_degree.
+
+_WINDOW = 24  # bytes: three lanes of eight digits
+_MAX_DECIMALS = 19
+_POW10_U64 = 10 ** np.arange(_MAX_DECIMALS + 1, dtype=np.uint64)
+_POW10_F64 = _POW10_U64.astype(np.float64)  # exact: 10**k is a double for k <= 22
+_POW10_LONG = _POW10_U64.astype(np.longdouble)
+_LONG_EXACT = np.finfo(np.longdouble).nmant >= 63
+# _KEEP[k]: the three lanes' mask of their last k bytes, where k decimals sit.
+_KEEP = np.where(np.arange(_WINDOW) >= _WINDOW - np.arange(_MAX_DECIMALS + 1)[:, None], 0xFF, 0)
+_KEEP = _KEEP.astype(np.uint8).view("<u8")
+_ZEROS = np.uint64(0x3030303030303030)  # eight ASCII '0's
+_HIGH, _SIXES, _THREES = map(np.uint64, (0xF0F0F0F0F0F0F0F0, 0x0606060606060606, 0x3333333333333333))
+
+
+def _exact_decimals(buf: np.ndarray, start: np.ndarray, end: np.ndarray):
+    """(values, exact): exact[r] is set where the field buf[start[r]:end[r]] has the
+    form d.ddd... the kernel parses and values[r] is then float() of it, bit for bit.
+
+    A field must end at least _WINDOW bytes into buf; other entries of values
+    are meaningless.
+    """
+    k = end - start - 2
+    exact = (k >= 1) & (k <= _MAX_DECIMALS) & (end >= _WINDOW)
+    if not exact.any():
+        return np.zeros(len(k)), exact
+    k = np.where(exact, k, 1)  # a row of _KEEP for every field
+    at = np.where(exact, start, 0)
+    lead = buf[at] - np.uint8(ord("0"))
+    exact &= (buf[at + 1] == ord(".")) & (lead <= 9) & ((k < _MAX_DECIMALS) | (lead == 0))
+    windows = sliding_window_view(buf, _WINDOW)[np.where(exact, end - _WINDOW, 0)]
+    keep = np.take(_KEEP, k, axis=0)
+    lanes = (windows.view("<u8") & keep) | (_ZEROS & ~keep)
+    # Eight digits: each byte's high nibble is 3, and stays 3 when 6 is added.
+    bad = ((lanes & _HIGH) | (((lanes + _SIXES) & _HIGH) >> 4)) ^ _THREES
+    exact &= (bad[:, 0] | bad[:, 1] | bad[:, 2]) == 0
+    # Digit pairs, then groups of four, then eight; the first byte is the first digit.
+    lanes = (lanes & np.uint64(0x0F0F0F0F0F0F0F0F)) * np.uint64(2561) >> 8
+    lanes = (lanes & np.uint64(0x00FF00FF00FF00FF)) * np.uint64(6553601) >> 16
+    lanes = (lanes & np.uint64(0x0000FFFF0000FFFF)) * np.uint64(42949672960001) >> 32
+    lanes &= np.uint64(0xFFFFFFFF)
+    m = lead.astype(np.uint64) * _POW10_U64[k] + lanes @ _POW10_U64[16::-8]
+    values = m.astype(np.float64) / _POW10_F64[k]
+    wide = np.flatnonzero(exact & (m >= 2**53))
+    if not _LONG_EXACT:
+        exact[wide] = False
+    elif len(wide):
+        q = m[wide].astype(np.longdouble) / _POW10_LONG[k[wide]]
+        values[wide] = q
+        # A q on a midpoint between doubles lies between 64-bit numbers that round
+        # apart, and so does a q next to one.
+        up, down = (np.nextafter(q, to).astype(np.float64) for to in (np.inf, -np.inf))
+        exact[wide] = up == down
+    return values, exact
+
+
+def _parse_degrees(data: bytes, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """float() of each field data[start[...]:end[...]], in start's shape: the kernel's
+    value, or _parse_degree's, which raises ValueError for a cell that is not a number."""
+    values, exact = _exact_decimals(np.frombuffer(data, np.uint8), start.ravel(), end.ravel())
+    for r in np.flatnonzero(~exact).tolist():
+        values[r] = _parse_degree(data[start.flat[r] : end.flat[r]].decode("utf-8", "surrogatepass"))
+    return values.reshape(start.shape)
+
+
+class _Fields(NamedTuple):
+    """A block of CSV lines: their ids, and the byte offsets of their degree fields;
+    line r's mu is data[start[0, r]:end[0, r]] and its nu data[start[1, r]:end[1, r]]."""
+
+    ids: list[str]
+    start: np.ndarray  # int64, (2, lines)
+    end: np.ndarray
+
+
+def _line_fields(data: bytes, lo: int, hi: int) -> _Fields | None:
+    """The fields of the lines in data[lo:hi], which starts a line and ends one.
+
+    None unless each of them that is not blank has exactly two commas and each
+    field fits csv's field limit, as in a valid text.
+    """
+    buf = np.frombuffer(data, np.uint8, hi - lo, lo)
+    found = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    # Separator 0 is the newline that ends the line above, and one more ends the
+    # block: where the block ends with a newline, that one ends a blank line.
+    sep = np.concatenate(([-1], found, [len(buf)]))
+    newline = np.concatenate(([True], buf[found] == ord("\n"), [True]))
+    # A newline right after another ends a blank line, which csv.reader skips.
+    body = np.flatnonzero(~(newline[1:] & newline[:-1] & (np.diff(sep) == 1))) + 1
+    if len(body) % 3 or (newline[body].reshape(-1, 3) != (False, False, True)).any():
+        return None
+    # csv's limit counts characters: a field over it in bytes is decoded to count them.
+    limit = csv.field_size_limit()
+    if len(buf) > limit:
+        for f in body[sep[body] - sep[body - 1] > limit + 1].tolist():
+            if len(data[lo + sep[f - 1] + 1 : lo + sep[f]].decode("utf-8", "surrogatepass")) > limit:
+                return None
+    first = body[0::3]
+    line, comma = sep[first - 1] + 1, sep[first]
+    # Each id and the comma after it, gathered: one decode and one split.
+    width = comma + 1 - line
+    at = np.repeat(line - np.cumsum(width) + width, width) + np.arange(width.sum())
+    ids = np.take(buf, at).tobytes().decode("utf-8", "surrogatepass").split(",")[:-1]
+    # mu runs from the line's first comma to its second, nu from there to its end.
+    return _Fields(ids, lo + 1 + sep[first + [[0], [1]]], lo + sep[first + [[1], [2]]])
+
+
+# Bytes per block of lines, at least: a block ends at the end of a line.
+_LINE_BLOCK = 2**16
+
+
+def _byte_fields(data: bytes) -> list[_Fields] | None:
+    """The fields of the lines below the header of a CSV held as UTF-8 bytes, with
+    no '"', no '\\r' and the first line id,mu,nu, in blocks of lines; at least one.
+
+    csv.reader splits such a text at every comma and newline and skips blank
+    lines, and so does this.  None where _line_fields finds a block that no
+    valid text has.
+    """
+    blocks, lo = [], min(len(b"id,mu,nu\n"), len(data))
+    while lo < len(data) or not blocks:
+        hi = data.find(b"\n", lo + _LINE_BLOCK - 1) + 1 or len(data)
+        block = _line_fields(data, lo, hi)
+        if block is None:
+            return None
+        blocks.append(block)
+        lo = hi
+    return blocks
+
+
+def _csv_columns(data: bytes) -> tuple[Sequence[str], Sequence[float], Sequence[float]] | None:
+    """The id, mu and nu columns of a CSV below its header line id,mu,nu; None unless
+    each line that is not blank has three columns and csv.reader reads the text.
+    Raises ValueError for a degree that is not a number."""
+    header = data.startswith(b"id,mu,nu\n") or data == b"id,mu,nu"
+    blocks = _byte_fields(data) if header and b'"' not in data and b"\r" not in data else None
+    if blocks is not None:
+        ids = tuple(chain.from_iterable(block.ids for block in blocks))
+        degrees = [_parse_degrees(data, block.start, block.end) for block in blocks]
+        return ids, *np.concatenate(degrees, axis=1)
+    try:
+        records = list(csv.reader(io.StringIO(data.decode("utf-8", "surrogatepass"))))
+    except csv.Error:  # the walk names the line
+        return None
+    rows = [row for row in records[1:] if row]  # blank lines are skipped
+    if records[:1] != [["id", "mu", "nu"]] or set(map(len, rows)) - {3}:
+        return None
+    ids, mus, nus = tuple(zip(*rows)) if rows else ((), (), ())
+    return ids, [_parse_degree(cell) for cell in mus], [_parse_degree(cell) for cell in nus]
+
+
+def _read_csv(data: bytes) -> BipolarFuzzySet:
     # Column-wise checks; the set checks ids and degree ranges per array.
-    if columns is not None:
-        ids, mus, nus = columns
-        cells = "".join(mus) + "".join(nus)
-        if "_" not in cells and cells.isascii():
-            try:
-                mu = np.array(mus, dtype=np.float64)  # float() on each cell
-                nu = np.array(nus, dtype=np.float64)
-                return BipolarFuzzySet._from_arrays(ids, mu, nu)
-            except ValueError:  # a bad number, id or degree: found below
-                pass
+    try:
+        columns = _csv_columns(data)
+        if columns is not None:
+            return BipolarFuzzySet._from_arrays(*columns)
+    except ValueError:  # a bad number, id or degree: found below
+        pass
     # Something failed: the walk from the top names the first bad line.
-    _check_csv(text)
+    _check_csv(data.decode("utf-8", "surrogatepass"))
     raise AssertionError("a row failed a column check but passes the row checks")
 
 
@@ -436,12 +571,15 @@ def read_dataset(source: BinaryIO, fmt: str) -> BipolarFuzzySet:
     """
     _check_format(fmt)
     raw = source.read()
-    try:
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-    except UnicodeDecodeError as exc:
-        raise DatasetError(f"input is not valid UTF-8: {exc}") from None
-    text = text.removeprefix("\ufeff")  # a UTF-8 byte order mark
-    return _read_csv(text) if fmt == "csv" else _read_json(text)
+    if isinstance(raw, str):  # a text stream; lone surrogates pass through the bytes
+        raw = raw.encode("utf-8", "surrogatepass")
+    elif not raw.isascii():
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"input is not valid UTF-8: {exc}") from None
+    data = raw.removeprefix(b"\xef\xbb\xbf")  # a UTF-8 byte order mark
+    return _read_csv(data) if fmt == "csv" else _read_json(data.decode("utf-8", "surrogatepass"))
 
 
 # ---------------------------------------------------------------------------

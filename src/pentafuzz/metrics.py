@@ -21,6 +21,7 @@ from .algebra import BipolarFuzzySet, check_same_universe
 from .errors import ValidationError
 from .kernel import (
     BipolarValue,
+    PentaArrays,
     TauOmega,
     _check_degree,
     decompose,
@@ -199,17 +200,17 @@ def set_distance(
 _PAIR_BLOCK = 2**16
 
 
-def _pairwise_blocks(kind: DistanceKind, s: BipolarFuzzySet, similarity: bool):
-    """Blocks (j, k, values) of pairwise_matrix's pairs, in its order: the universe
-    positions j > k of each pair and the pair's distance or similarity.
+def _pairwise_blocks(kind: DistanceKind, d: PentaArrays, similarity: bool):
+    """Blocks (j, k, values) of pairwise_matrix's pairs of a set decomposed into d, in
+    its order: the universe positions j > k of each pair and the pair's distance or
+    similarity.
 
     A block holds the whole rows j = lo, ..., hi - 1, each pairing with
     k = 0, ..., j - 1, as many rows as fit in _PAIR_BLOCK pairs and at
     least one.  There is at least one block, empty when the set has fewer
-    than two elements.  The set is decomposed before this returns.
+    than two elements.
     """
-    d = decompose(*s.arrays())
-    n = len(s)
+    n = len(d.tau)
     # before[m]: the pairs in the rows above row m.
     before = np.arange(n + 1) * np.arange(-1, n) // 2
     bounds = [0]
@@ -241,6 +242,6 @@ def pairwise_matrix(
     ids = np.array(s.universe, dtype=object)
     return tuple(
         pair
-        for j, k, values in _pairwise_blocks(kind, s, similarity)
+        for j, k, values in _pairwise_blocks(kind, decompose(*s.arrays()), similarity)
         for pair in zip(ids[j].tolist(), ids[k].tolist(), values.tolist())
     )

@@ -25,6 +25,7 @@ from pentafuzz import (
     set_op,
     union,
 )
+from pentafuzz.algebra import check_same_universe
 from helpers import bipolar_values, fuzzy_values, unit_floats, value_set_pairs
 
 ALL_NORMS = list(NORM_PAIRS.values())
@@ -168,6 +169,22 @@ class TestSetOp:
             set_op(SetOpKind.UNION, a, b)
         assert err.value.only_left == ("x",)
         assert err.value.only_right == ("z",)
+
+    def test_universe_mismatch_message(self):
+        a = BipolarFuzzySet([("x", TRUE), ("y", TRUE), ("w", TRUE)])
+        b = BipolarFuzzySet([("y", TRUE), ("z", TRUE)])
+        for left, right, only_left, only_right in ((a, b, "['w', 'x']", "['z']"),
+                                                   (b, a, "['z']", "['w', 'x']")):
+            with pytest.raises(UniverseMismatchError) as err:
+                check_same_universe(left, right)
+            assert str(err.value) == (
+                f"universe mismatch: only in left operand {only_left}, "
+                f"only in right operand {only_right}"
+            )
+        # Equal universes in another order, and of equal size but other ids.
+        check_same_universe(a, BipolarFuzzySet([("w", TRUE), ("x", TRUE), ("y", TRUE)]))
+        with pytest.raises(UniverseMismatchError, match=r"\['v'\].*\['w'\]"):
+            check_same_universe(BipolarFuzzySet([("v", TRUE), ("x", TRUE), ("y", TRUE)]), a)
 
     def test_arity_validation(self):
         s = BipolarFuzzySet([("a", TRUE)])

@@ -5,10 +5,12 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import pentafuzz
+from pentafuzz import kernel
 from pentafuzz.algebra import NORM_PAIRS, SetOpKind
 from pentafuzz.cli import _build_parser, main
 from pentafuzz.measures import CardinalityKind, EntropyKind, VectorNorm
@@ -58,6 +60,12 @@ class TestSimAndDist:
         assert main(["dist", "--kind", "ph", "--paper-rounding", str(p1_pair)]) == 0
         out = capsysbinary.readouterr().out.decode()
         assert "b,a,0.20" in out
+
+    def test_the_pairwise_form_decomposes_the_set_once(self, p1_pair, capsysbinary):
+        with mock.patch.object(kernel, "penta_arrays", wraps=kernel.penta_arrays) as spy:
+            assert main(["sim", "--kind", "pe", str(p1_pair)]) == 0
+        assert spy.call_count == 1
+        assert "b,a,0.800000" in capsysbinary.readouterr().out.decode()
 
     def test_two_set_similarity_with_aggregation(self, tmp_path, capsysbinary):
         a = write(tmp_path, "a.csv", "id,mu,nu\ne1,0.8,0.2\ne2,1,0\n")

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -154,6 +156,38 @@ class TestReadDataset:
         with pytest.raises(DatasetError) as err:
             read_json(f'[{{"id":"ok","mu":0,"nu":1}},{{"id":"a","mu":0.5,"nu":{huge}}}]')
         assert str(err.value) == f"record 1: element 'a': nu must lie in [0, 1], got {huge}"
+
+    def test_a_text_stream_reads_as_its_bytes_would(self):
+        # Lone surrogates pass through the byte route and come back as they were.
+        for text in ("\ufeffid,mu,nu\n\ud800\u00e9,0.5,0.25\nb,0.125,1\n",
+                     'id,mu,nu\r\n"\ud800,",0.5,0.25\r\n'):
+            s = read_dataset(io.StringIO(text), "csv")
+            assert s.universe[0].startswith("\ud800") and s.value(s.universe[0]) == BipolarValue(0.5, 0.25)
+        with pytest.raises(DatasetError) as err:
+            read_dataset(io.StringIO("id,mu,nu\n\ud800,x,0.25\n"), "csv")
+        assert str(err.value) == "line 2: mu/nu must be numbers, got 'x', '0.25'"
+
+    def test_a_line_longer_than_the_field_limit_whose_fields_fit_is_read(self):
+        eid = "a" * (csv.field_size_limit() - 1)
+        s = read_csv(f"id,mu,nu\n{eid},0.5000000000,0.25000000\n")
+        assert s.universe == (eid,) and s.value(eid) == BipolarValue(0.5, 0.25)
+
+    def test_reading_a_large_csv_stays_within_the_split_readers_memory(self):
+        # 200,000 rows of 8.9 MiB.  The reader that split the text into str
+        # cells peaked at 80.7 MiB on this read; the byte route's blocks of
+        # lines peak at about 45 MiB.
+        rng = random.Random(5)
+        rows = [f"e{k:06d},{rng.random()!r},{rng.random()!r}" for k in range(200_000)]
+        raw = ("id,mu,nu\n" + "\n".join(rows) + "\n").encode("ascii")
+        del rows
+        tracemalloc.start()
+        try:
+            s = read_dataset(io.BytesIO(raw), "csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(s) == 200_000
+        assert peak <= 80 * 2**20
 
     def test_unknown_format(self):
         from pentafuzz import ValidationError

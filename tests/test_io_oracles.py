@@ -8,7 +8,7 @@ same degree bits) or raise a DatasetError with the same message.
 write_report, write_dataset and write_audit format whole columns at once
 and lay out CSV and JSON from one column schema; they must write the
 reference writers' bytes, and read_dataset must read write_dataset's
-back.  The split tokenizer must read what csv.reader reads, and a
+back.  The byte tokenizer must read what csv.reader reads, and a
 table's rows must render alike whole or in blocks.  The CLI's pair table,
 written in row blocks with its ids gathered from the formatted universe,
 must be write_report's bytes for the same pairs.
@@ -22,18 +22,19 @@ from pathlib import Path
 from unittest import mock
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import example, given, settings
 
-from pentafuzz import BipolarFuzzySet, BipolarValue, DatasetError, __version__, metrics
+from pentafuzz import BipolarFuzzySet, BipolarValue, DatasetError, __version__, dataio, metrics
 from pentafuzz.cli import main
 from pentafuzz.dataio import (
     ElementRow,
     MeasureReport,
     ReportMetadata,
     _Column,
+    _byte_fields,
     _lines,
     _real_cells,
-    _split_columns,
     _table_rows,
     _text_cells,
     format_real,
@@ -186,19 +187,68 @@ PLAIN_LINES = st.one_of(
 )
 
 
+def byte_columns(text: str):
+    """The byte route's id, mu and nu columns of a text, each a list of strings: its
+    ids, and its degree fields' bytes decoded; None where it takes no columns."""
+    data = text.encode("utf-8")
+    blocks = _byte_fields(data)
+    if blocks is None:
+        return None
+    cells = [
+        [data[a:z].decode("utf-8") for block in blocks
+         for a, z in zip(block.start[j].tolist(), block.end[j].tolist())]
+        for j in (0, 1)
+    ]
+    return [eid for block in blocks for eid in block.ids], *cells
+
+
+LIMIT = csv.field_size_limit()
+
+
 @settings(max_examples=400)
 @given(st.lists(PLAIN_LINES, max_size=8), st.sampled_from(["", "\n"]))
+# A short last field with no newline after it, at the end of the bytes.
+@example(lines=[",0.5,"], end="")
+@example(lines=["padding_the_first_row,0.5,0.25", "a,0.75,1"], end="")
+# Blank lines, above, between and below the rows.
+@example(lines=["", "a,0.5,0.25", "", "", "b,0.125,0.5", ""], end="\n")
+# Unquoted non-ASCII ids: their bytes sit at other offsets than their characters.
+@example(lines=["\u00e9" * 12 + ",0.5,0.25", "\U0001F600\u00e9,0.0625,1.0"], end="\n")
+# Lines over csv's field limit whose fields fit it, in characters if not in bytes.
+@example(lines=["a" * (LIMIT - 4) + ",0.5,0.5", "\u00e9" * LIMIT + ",0.5,0.5"], end="")
 def test_split_tokenizer_matches_csv_reader(lines, end):
     text = "id,mu,nu\n" + "\n".join(lines) + end
     rows = [row for row in list(csv.reader(io.StringIO(text)))[1:] if row]
     if all(len(row) == 3 for row in rows):
-        assert _split_columns(text) == (tuple(map(list, zip(*rows))) if rows else ([], [], []))
+        assert byte_columns(text) == (tuple(map(list, zip(*rows))) if rows else ([], [], []))
     else:
-        assert _split_columns(text) is None
+        assert byte_columns(text) is None
     # With CRLF line ends csv.reader reads the same rows, and the reader
     # takes that route: the same set, or the same first error, either way.
     read = lambda text: outcome(lambda: read_dataset(io.BytesIO(text.encode("utf-8")), "csv"))
     assert read(text) == read(text.replace("\n", "\r\n"))
+
+
+@settings(max_examples=200)
+@given(st.lists(PLAIN_LINES, max_size=8), st.sampled_from(["", "\n"]), st.sampled_from([1, 2, 7, 30]))
+def test_blocks_of_lines_read_as_the_whole_text(lines, end, block):
+    text = "id,mu,nu\n" + "\n".join(lines) + end
+    read = lambda: outcome(lambda: read_dataset(io.BytesIO(text.encode("utf-8")), "csv"))
+    whole = byte_columns(text), read()
+    with mock.patch.object(dataio, "_LINE_BLOCK", block):
+        assert (byte_columns(text), read()) == whole
+
+
+@pytest.mark.parametrize("char", ["b", "\u00e9"])
+def test_a_field_over_the_limit_is_named_at_its_line(char):
+    text = "id,mu,nu\na,0.5,0.5\n\n" + char * (LIMIT + 1) + ",0.5,0.5\nc,x,0.5\n"
+    assert byte_columns(text) is None
+    raw = text.encode("utf-8")
+    assert_same_as_reference(raw, "csv")
+    assert outcome(lambda: read_dataset(io.BytesIO(raw), "csv")) == (
+        "raises",
+        f"line 4: field larger than field limit ({LIMIT})",
+    )
 
 
 def test_the_first_bad_line_is_named_whatever_the_check():
