@@ -529,7 +529,15 @@ def _is_int(x) -> bool:
 
 
 # Sample entries per evaluation block: the audit holds a few dozen float64
-# arrays of this length at once, whatever the size of its sample.
+# arrays of this length at once, whatever the size of its sample.  Each such
+# array is 128 KiB, glibc's initial mmap threshold, so on its own glibc would
+# hand a block's freed arrays back to the OS when the block ends and fault
+# them in again for the next one.  axiom_audit therefore first allocates and
+# frees one array of 16 * _BLOCK entries (2 MiB): glibc serves it with mmap,
+# and freeing it raises the process's mmap threshold to 2 MiB and its trim
+# threshold to 4 MiB, so the blocks reuse a heap top that is no longer
+# trimmed.  The process may keep up to about 4 MiB of freed heap afterwards.
+# Other allocators ignore the allocation.
 _BLOCK = 2**14
 
 _LM_MU, _LM_NU = np.array(list(_LM_MU_NU.values())).T
@@ -624,7 +632,10 @@ def axiom_audit(
     Measures with a restricted domain are audited on that domain only.
     The sampling arguments are checked as audit_sample checks them.  The
     sample is evaluated in blocks of _BLOCK entries, so memory does not
-    grow with it; the report is the same for every block size.
+    grow with it; the report is the same for every block size.  A 2 MiB
+    array allocated and dropped before the first block keeps glibc from
+    trimming the heap after every block (see _BLOCK), at the cost of up
+    to about 4 MiB of freed heap that the process may keep.
     """
     if isinstance(kind, CardinalityKind):
         family, label = "cardinality", kind.value
@@ -638,6 +649,7 @@ def axiom_audit(
     side = np.linspace(0.0, 1.0, round(1.0 / grid_step) + 1)
     sample = _Sample(side, int(n_random), np.random.SeedSequence(seed))
     tallies: dict[str, _Tally] = {}
+    np.empty(16 * _BLOCK)  # raises glibc's trim threshold; see _BLOCK
     with np.errstate(divide="ignore", invalid="ignore"):
         lm_values, lm_in = measure(*penta_arrays(_LM_MU, _LM_NU))
         landmarks = dict(zip(_LM_MU_NU, zip(lm_values.tolist(), lm_in.tolist())))

@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -626,6 +630,30 @@ class TestBlockedAudit:
         finally:
             tracemalloc.stop()
         assert peak <= 32 * 2**20
+
+    @pytest.mark.skipif(
+        platform.libc_ver()[0] != "glibc",
+        reason="the heap trim the audit guards against is glibc's; other allocators "
+        "keep or return freed memory by rules of their own, so no fault bound holds there",
+    )
+    def test_a_repeated_audit_takes_no_page_faults(self):
+        # The fault count depends on the process's allocation history, so the
+        # audit runs in a fresh interpreter.  The first call warms the heap;
+        # a trimmed heap faulted about 3,200 pages back in on the second.
+        code = (
+            "import resource\n"
+            "from pentafuzz.measures import CardinalityKind, axiom_audit\n"
+            "axiom_audit(CardinalityKind.FROM_PE)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "axiom_audit(CardinalityKind.FROM_PE)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(measures.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True, timeout=120,
+        ).stdout
+        assert int(out) <= 300
 
 
 def _nudged(x: float, ulps: int) -> float:
