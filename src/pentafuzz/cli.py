@@ -1,13 +1,14 @@
 """Batch command line for decomposition, distances, measures, set algebra, and audits.
 
 Exit status: 0 on success, 1 on validation errors (bad paths, malformed
-data, domain violations, an unwritable --out, audit disagreement under
---expect-paper), 2 on usage errors.
+data, domain violations, an unwritable --out or standard output, audit
+disagreement under --expect-paper), 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import inspect
 import os
@@ -248,18 +249,19 @@ def main(argv: list[str] | None = None) -> int:
     except PentafuzzError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.out is None:
-        sys.stdout.buffer.write(first)
-        sys.stdout.buffer.writelines(blocks)
-        sys.stdout.buffer.flush()
-    else:
-        try:
-            with open(args.out, "wb") as fh:
-                fh.write(first)
-                fh.writelines(blocks)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
-            return 1
+    try:
+        with (contextlib.nullcontext(sys.stdout.buffer) if args.out is None
+              else open(args.out, "wb")) as fh:
+            fh.write(first)
+            fh.writelines(blocks)
+            fh.flush()
+    except OSError as exc:
+        if args.out is None:
+            # What stdout still holds goes to devnull when the interpreter flushes it.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        where = "standard output" if args.out is None else args.out
+        print(f"error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     return args.status
 
 

@@ -281,6 +281,7 @@ def format_reals(values, *, paper: bool = False) -> list[str]:
 
 
 def _check_value(eid, mu: float, nu: float, where: str) -> None:
+    """BipolarValue's check of the degrees, its failure worded for a dataset."""
     try:
         BipolarValue(mu, nu)
     except ValidationError as exc:
@@ -294,8 +295,8 @@ def _parse_degree(raw: str) -> float:
     return float(raw)
 
 
-def _check_csv_row(lineno: int, row: list[str], seen: set[str]) -> None:
-    """Every check of one CSV data row, in order; raises the first that fails."""
+def _check_csv_row(lineno: int, row: list[str], seen: set[str]) -> tuple[str, float, float]:
+    """Every check of one CSV data row, in order; its id and degrees, or the first failure."""
     if len(row) != 3:
         raise DatasetError(f"line {lineno}: expected 3 columns, got {len(row)}")
     eid, raw_mu, raw_nu = row
@@ -310,12 +311,14 @@ def _check_csv_row(lineno: int, row: list[str], seen: set[str]) -> None:
         raise DatasetError(
             f"line {lineno}: mu/nu must be numbers, got {raw_mu!r}, {raw_nu!r}"
         ) from None
-    _check_value(eid, mu, nu, f"line {lineno}")
+    if not (0.0 <= mu <= 1.0 and 0.0 <= nu <= 1.0):
+        _check_value(eid, mu, nu, f"line {lineno}")
+    return eid, mu, nu
 
 
-def _check_csv(text: str) -> None:
-    """Every check of a CSV text, from the top: the header's, then each data row's in
-    order, each tokenizer error at its line; raises the first that fails."""
+def _walk_csv(text: str) -> BipolarFuzzySet:
+    """The set of a CSV text, checked from the top: the header, then each data row in
+    order, each tokenizer error at its line; raises the first check that fails."""
     reader = csv.reader(io.StringIO(text))
     seen: set[str] = set()
     try:
@@ -324,17 +327,19 @@ def _check_csv(text: str) -> None:
             raise DatasetError("empty input: missing header row")
         if header != ["id", "mu", "nu"]:
             raise DatasetError(f"header must be exactly id,mu,nu, got {','.join(header)}")
-        for lineno, row in enumerate(reader, start=2):
-            if row:  # blank lines are skipped
-                _check_csv_row(lineno, row, seen)
+        # Blank lines are skipped.
+        rows = [_check_csv_row(n, row, seen) for n, row in enumerate(reader, start=2) if row]
     except csv.Error as exc:  # a field over the limit, or a bare \r inside an unquoted line
         raise DatasetError(f"line {reader.line_num}: {exc}") from None
+    ids, mu, nu = zip(*rows) if rows else ((), (), ())
+    return BipolarFuzzySet._from_arrays(ids, mu, nu)
 
 
-# The byte route.  A CSV text with no '"' and no '\r' is split at the commas
-# and newlines of its UTF-8 bytes: csv.reader splits such a text at every
-# comma and newline and skips blank lines, and so does this.  Only the ids
-# become strings; each degree field is parsed from its bytes.
+# The byte route.  A CSV text with no '"' and no '\r', once its CRLF line ends
+# are read as LF, is split at the commas and newlines of its UTF-8 bytes:
+# csv.reader splits such a text at every comma and line end and skips blank
+# lines, and so does this.  Only the ids become strings; each degree field is
+# parsed from its bytes.
 #
 # A field d.ddd... with k = 1..19 decimals (k < 19 unless d is 0) is the
 # decimal m / 10**k with m < 10**19 < 2**64.  d is read on its own; the
@@ -478,25 +483,19 @@ def _byte_fields(data: bytes) -> list[_Fields] | None:
     return blocks
 
 
-def _csv_columns(data: bytes) -> tuple[Sequence[str], Sequence[float], Sequence[float]] | None:
-    """The id, mu and nu columns of a CSV below its header line id,mu,nu; None unless
-    each line that is not blank has three columns and csv.reader reads the text.
-    Raises ValueError for a degree that is not a number."""
+def _csv_columns(data: bytes) -> tuple[Sequence[str], np.ndarray, np.ndarray] | None:
+    """The id, mu and nu columns of a CSV below its header line id,mu,nu, by the byte
+    route; None where the text holds a '"' or a bare '\\r' or _byte_fields finds a
+    block no valid text has.  Raises ValueError for a degree that is not a number."""
+    if b"\r" in data:  # CRLF line ends read as LF; a bare \r stays
+        data = data.replace(b"\r\n", b"\n")
     header = data.startswith(b"id,mu,nu\n") or data == b"id,mu,nu"
     blocks = _byte_fields(data) if header and b'"' not in data and b"\r" not in data else None
-    if blocks is not None:
-        ids = tuple(chain.from_iterable(block.ids for block in blocks))
-        degrees = [_parse_degrees(data, block.start, block.end) for block in blocks]
-        return ids, *np.concatenate(degrees, axis=1)
-    try:
-        records = list(csv.reader(io.StringIO(data.decode("utf-8", "surrogatepass"))))
-    except csv.Error:  # the walk names the line
+    if blocks is None:
         return None
-    rows = [row for row in records[1:] if row]  # blank lines are skipped
-    if records[:1] != [["id", "mu", "nu"]] or set(map(len, rows)) - {3}:
-        return None
-    ids, mus, nus = tuple(zip(*rows)) if rows else ((), (), ())
-    return ids, [_parse_degree(cell) for cell in mus], [_parse_degree(cell) for cell in nus]
+    ids = tuple(chain.from_iterable(block.ids for block in blocks))
+    degrees = [_parse_degrees(data, block.start, block.end) for block in blocks]
+    return ids, *np.concatenate(degrees, axis=1)
 
 
 def _read_csv(data: bytes) -> BipolarFuzzySet:
@@ -505,11 +504,10 @@ def _read_csv(data: bytes) -> BipolarFuzzySet:
         columns = _csv_columns(data)
         if columns is not None:
             return BipolarFuzzySet._from_arrays(*columns)
-    except ValueError:  # a bad number, id or degree: found below
+    except ValueError:  # a bad number, id or degree: the walk names its line
         pass
-    # Something failed: the walk from the top names the first bad line.
-    _check_csv(data.decode("utf-8", "surrogatepass"))
-    raise AssertionError("a row failed a column check but passes the row checks")
+    # A text the byte route does not take, or one that fails a check, is walked.
+    return _walk_csv(data.decode("utf-8", "surrogatepass"))
 
 
 def _check_json_record(idx: int, record, seen: set[str]) -> tuple[str, float, float]:
@@ -545,7 +543,8 @@ def _check_json_record(idx: int, record, seen: set[str]) -> tuple[str, float, fl
                 f"{where}: element {eid!r}: {key} must lie in [0, 1], got {raw}"
             ) from None
     mu, nu = degrees
-    _check_value(eid, mu, nu, where)
+    if not (0.0 <= mu <= 1.0 and 0.0 <= nu <= 1.0):
+        _check_value(eid, mu, nu, where)
     return eid, mu, nu
 
 
@@ -565,9 +564,10 @@ def _read_json(text: str) -> BipolarFuzzySet:
 def read_dataset(source: BinaryIO, fmt: str) -> BipolarFuzzySet:
     """Parse a dataset stream; universe order follows record order.
 
-    CSV rows are checked column by column; on a failure, the row checks
-    walk the input from the top and name the first bad line.  JSON
-    records are checked one by one as they are collected.
+    A CSV text is read from its bytes and checked column by column.  A text
+    holding a '"' or a bare '\\r', or one that fails a check, is walked row by
+    row from the top: the walk builds the set, or names the first bad line.
+    JSON records are checked one by one as they are collected.
     """
     _check_format(fmt)
     raw = source.read()

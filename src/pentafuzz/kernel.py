@@ -377,8 +377,3 @@ def _class_codes(mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
     0 fuzzy, 1 intuitionistic, 2 paraconsistent."""
     total = mu + nu
     return np.where(np.abs(total - 1.0) <= EPSILON, 0, np.where(total < 1.0, 1, 2))
-
-
-def classify_arrays(mu: np.ndarray, nu: np.ndarray) -> list[str]:
-    """classify(...).value for every entry of two degree arrays, in order."""
-    return _CLASS_TEXTS[_class_codes(mu, nu)].tolist()

@@ -197,7 +197,7 @@ def cardinality_array(kind: CardinalityKind, d: PentaArrays) -> np.ndarray:
 def _sum(values: np.ndarray) -> float:
     # Builtin sum over Python floats in universe order, as the pointwise
     # route adds them; np.sum would pair the terms differently.
-    return sum(values.tolist())
+    return float(sum(values.tolist()))
 
 
 def cardinality_set(kind: CardinalityKind, a: algebra.BipolarFuzzySet) -> float:
@@ -501,11 +501,12 @@ _MAX_RANDOM = 10**7
 def audit_sample(grid_step: float, n_random: int, seed: int) -> tuple[tuple[str, object], ...]:
     """The sample axiom_audit draws for these arguments, as (key, value) pairs.
 
-    grid_step must be finite and 1/n for a whole n from 1 to 1000, to
-    within 1e-9; n_random an int from 0 to 10**7; seed a non-negative int.
-    A bad argument raises ValidationError naming it.
+    grid_step must be a real other than a bool and 1/n for a whole n from
+    1 to 1000, to within 1e-9; n_random an int from 0 to 10**7; seed a
+    non-negative int.  A bad argument raises ValidationError naming it.
     """
-    steps = 1.0 / grid_step if isinstance(grid_step, numbers.Real) and grid_step > 0 else 0.0
+    real = isinstance(grid_step, numbers.Real) and not isinstance(grid_step, bool)
+    steps = 1.0 / grid_step if real and grid_step > 0 else 0.0
     if not (math.isfinite(steps) and 1 <= round(steps) <= _MAX_GRID_STEPS
             and abs(steps - round(steps)) <= 1e-9):
         raise ValidationError(

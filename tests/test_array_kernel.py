@@ -145,7 +145,8 @@ def scalar_set_distance(kind, a, b, aggregation):
 
 
 def scalar_cardinality_set(kind, a):
-    return sum(cardinality_point(kind, val) for _, val in a)
+    # A float for an empty set too: the sum starts from 0.0.
+    return sum((cardinality_point(kind, val) for _, val in a), 0.0)
 
 
 def scalar_border_cardinality(kind, a):
@@ -261,10 +262,12 @@ class TestDistances:
 
 class TestSetMeasures:
     @given(bipolar_sets(), st.sampled_from(CardinalityKind))
+    @example(BipolarFuzzySet([]), CardinalityKind.FROM_PE)
     def test_cardinality_set_equals_the_pointwise_sum(self, s, kind):
         assert outcome(cardinality_set, kind, s) == outcome(scalar_cardinality_set, kind, s)
 
     @given(bipolar_sets(), st.sampled_from(CardinalityKind))
+    @example(BipolarFuzzySet([]), CardinalityKind.FROM_PE)
     def test_border_cardinality_equals_the_set_op_complement_route(self, s, kind):
         assert outcome(border_cardinality, kind, s) == outcome(scalar_border_cardinality, kind, s)
 

@@ -389,6 +389,32 @@ class TestDiagnosticsAndDeterminism:
         assert main(["sim", str(p1_pair), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: ")
 
+    @staticmethod
+    def sim_to(stdout, path):
+        """`pentafuzz sim path` in a fresh interpreter writing to this stdout, buffered."""
+        env = {**os.environ, "PYTHONPATH": str(Path(pentafuzz.__file__).parent.parent)}
+        env.pop("PYTHONUNBUFFERED", None)
+        argv = [sys.executable, "-m", "pentafuzz", "sim", str(path)]
+        return subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    def test_a_full_stdout_is_a_validation_error(self, p1_pair):
+        with open("/dev/full", "wb") as full:
+            proc = self.sim_to(full, p1_pair)
+        # One line, and no traceback from the interpreter's flush at exit.
+        message = b"error: cannot write standard output: No space left on device\n"
+        assert (proc.returncode, proc.stderr) == (1, message)
+
+    def test_a_closed_stdout_pipe_is_a_validation_error(self, p1_pair):
+        read, write = os.pipe()
+        os.close(read)  # as `| head -c 100` does once it has its bytes
+        try:
+            proc = self.sim_to(write, p1_pair)
+        finally:
+            os.close(write)
+        message = b"error: cannot write standard output: Broken pipe\n"
+        assert (proc.returncode, proc.stderr) == (1, message)
+
     def test_a_bad_input_is_reported_before_an_unwritable_out(self, tmp_path, capsys):
         path = write(tmp_path, "bad.csv", self.BAD_LAST_ROW)
         for out in (tmp_path, tmp_path / "missing" / "r.csv"):

@@ -4,6 +4,7 @@ import json
 import random
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
@@ -14,6 +15,7 @@ from pentafuzz import (
     EntropyKind,
     ValidationError,
     axiom_audit,
+    dataio,
 )
 from pentafuzz.dataio import (
     ElementRow,
@@ -172,13 +174,12 @@ class TestReadDataset:
         s = read_csv(f"id,mu,nu\n{eid},0.5000000000,0.25000000\n")
         assert s.universe == (eid,) and s.value(eid) == BipolarValue(0.5, 0.25)
 
-    def test_reading_a_large_csv_stays_within_the_split_readers_memory(self):
-        # 200,000 rows of 8.9 MiB.  The reader that split the text into str
-        # cells peaked at 80.7 MiB on this read; the byte route's blocks of
-        # lines peak at about 45 MiB.
+    @staticmethod
+    def large_csv_peak(line_end: str) -> int:
+        """The tracemalloc peak of reading 200,000 rows, 8.9 MiB with LF line ends."""
         rng = random.Random(5)
         rows = [f"e{k:06d},{rng.random()!r},{rng.random()!r}" for k in range(200_000)]
-        raw = ("id,mu,nu\n" + "\n".join(rows) + "\n").encode("ascii")
+        raw = ("id,mu,nu" + line_end + line_end.join(rows) + line_end).encode("ascii")
         del rows
         tracemalloc.start()
         try:
@@ -187,7 +188,23 @@ class TestReadDataset:
         finally:
             tracemalloc.stop()
         assert len(s) == 200_000
-        assert peak <= 80 * 2**20
+        return peak
+
+    def test_reading_a_large_csv_stays_within_the_split_readers_memory(self):
+        # The reader that split the text into str cells peaked at 80.7 MiB on
+        # this read; the byte route's blocks of lines peak at about 35 MiB.
+        assert self.large_csv_peak("\n") <= 80 * 2**20
+
+    def test_reading_a_large_crlf_csv_stays_within_the_split_readers_memory(self):
+        # With CRLF line ends the text once went through csv.reader's columns,
+        # which peaked at 91.0 MiB on this read; the byte route reads it as LF, at 35 MiB.
+        assert self.large_csv_peak("\r\n") <= 80 * 2**20
+
+    def test_a_crlf_text_is_read_from_its_bytes(self):
+        text = "id,mu,nu\r\nx,0.5,0.25\r\n\r\ny,0.125,1\r\n"
+        with mock.patch.object(dataio.csv, "reader", side_effect=AssertionError("csv.reader")):
+            s = read_csv(text)
+        assert s.universe == ("x", "y") and s.value("y") == BipolarValue(0.125, 1.0)
 
     def test_unknown_format(self):
         from pentafuzz import ValidationError

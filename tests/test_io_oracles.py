@@ -43,7 +43,7 @@ from pentafuzz.dataio import (
     write_dataset,
     write_report,
 )
-from pentafuzz.kernel import classify_arrays, decompose
+from pentafuzz.kernel import classify, decompose
 from pentafuzz.measures import AuditReport, AxiomResult
 from pentafuzz.metrics import DistanceKind, pairwise_matrix
 from reference_io import (
@@ -55,12 +55,13 @@ from reference_io import (
 
 GOOD_CELLS = st.one_of(
     st.floats(min_value=0.0, max_value=1.0).map(repr),
-    st.sampled_from(["0", "1", "0.5", " 0.25", "1e-3", ".5", "1.", "-0.0", "+0.75"]),
+    st.sampled_from(["0", "1", "0.5", " 0.25", "1e-3", ".5", "1.", "-0.0", "+0.75", "1.0"]),
 )
-# Not numbers, not finite, or out of range.  No underscores or non-ASCII
-# digits: the reference reader takes those, read_dataset does not.
+# Not numbers, not finite, or out of range, some by one ulp.  No underscores
+# or non-ASCII digits: the reference reader takes those, read_dataset does not.
 BAD_CELLS = st.sampled_from(
     ["abc", "", "0.5x", "nan", "NaN", "inf", "-inf", "1.5", "-0.1", "2", "1e400", "0x1p-1"]
+    + ["1.0000000000000002", "-5e-324"]
 )
 # Ids that need CSV quoting or JSON escaping, or look like the NUL padding
 # of a byte matrix, a 4-byte UTF-8 character, and one id of 300 characters,
@@ -119,9 +120,12 @@ def csv_inputs(draw):
     return (bom + out.getvalue()).encode("utf-8")
 
 
-GOOD_NUMBERS = st.one_of(st.floats(min_value=0.0, max_value=1.0), st.sampled_from([0, 1]))
+GOOD_NUMBERS = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0), st.sampled_from([0, 1, -0.0, 1.0])
+)
 BAD_NUMBERS = st.sampled_from(
     [True, False, "0.3", None, 1.5, -0.1, 2, float("nan"), float("inf"), [0.5]]
+    + [1.0000000000000002, -5e-324]
 )
 
 
@@ -162,12 +166,27 @@ def json_inputs(draw):
 
 @settings(max_examples=400)
 @given(csv_inputs())
+# Degrees on the edges of [0, 1], and one ulp or one subnormal past them.
+@example(raw=b"id,mu,nu\na,-0.0,1.0\nb,1.0,-0.0\n")
+@example(raw=b"id,mu,nu\na,-0.0,1.0\nb,0.5,1.0000000000000002\nc,nan,0.5\n")
+@example(raw=b"id,mu,nu\na,-0.0,1.0\nb,-5e-324,0.5\n")
+@example(raw=b"id,mu,nu\na,0.5,nan\n")
+# A CR before a CRLF line end, and a bare CR after valid rows: the walk reads both.
+@example(raw=b"id,mu,nu\r\na,0.5,0.25\r\r\nb,0.125,1\r\n")
+@example(raw=b"id,mu,nu\na,0.5,0.25\nb,0.125,1\n\rc,0.5,0.5\n")
+# A quoted text, walked: the duplicate id above the bad degree is named.
+@example(raw=b'id,mu,nu\n"a",0.5,0.25\na,0.5,0.25\nb,1.5,0.25\n')
 def test_csv_reader_matches_the_row_loop(raw):
     assert_same_as_reference(raw, "csv")
 
 
 @settings(max_examples=400)
 @given(json_inputs())
+# Degrees on the edges of [0, 1], and one ulp or one subnormal past them.
+@example(raw=b'[{"id":"a","mu":-0.0,"nu":1.0},{"id":"b","mu":1.0,"nu":-0.0}]')
+@example(raw=b'[{"id":"a","mu":1.0,"nu":-0.0},{"id":"b","mu":1.0000000000000002,"nu":0}]')
+@example(raw=b'[{"id":"a","mu":-5e-324,"nu":0.5}]')
+@example(raw=b'[{"id":"a","mu":0.5,"nu":NaN}]')
 def test_json_reader_matches_the_record_loop(raw):
     assert_same_as_reference(raw, "json")
 
@@ -223,8 +242,8 @@ def test_split_tokenizer_matches_csv_reader(lines, end):
         assert byte_columns(text) == (tuple(map(list, zip(*rows))) if rows else ([], [], []))
     else:
         assert byte_columns(text) is None
-    # With CRLF line ends csv.reader reads the same rows, and the reader
-    # takes that route: the same set, or the same first error, either way.
+    # With CRLF line ends csv.reader reads the same rows, and the byte route
+    # reads them as LF: the same set, or the same first error, either way.
     read = lambda text: outcome(lambda: read_dataset(io.BytesIO(text.encode("utf-8")), "csv"))
     assert read(text) == read(text.replace("\n", "\r\n"))
 
@@ -446,9 +465,10 @@ def tuple_report(s, command, kind, paper):
     """The MeasureReport of `command --kind kind` on s, its pairs from pairwise_matrix."""
     d = decompose(*s.arrays())
     columns = [column.tolist() for column in d]
+    classes = [classify(x).value for _, x in s]
     rows = tuple(
         ElementRow(eid, *values, value_class)
-        for eid, *values, value_class in zip(s.universe, *columns, classify_arrays(d.mu, d.nu))
+        for eid, *values, value_class in zip(s.universe, *columns, classes)
     )
     meta = ReportMetadata("data", __version__, distance_kind=kind.value, paper_rounding=paper)
     return MeasureReport(meta, rows, (), pairwise_matrix(kind, s, similarity=command == "sim"))

@@ -518,6 +518,7 @@ class TestAxiomAudit:
             ("grid_step", 5e-324),
             ("grid_step", 0.0005),
             ("grid_step", "0.01"),
+            ("grid_step", True),  # a bool is not a step, though True == 1.0
             ("n_random", -1),
             ("n_random", 10**7 + 1),
             ("n_random", 1.0),
