@@ -4,148 +4,18 @@ Decomposes (membership, non-membership) pairs into five logical indexes,
 provides a midpoint-weighted bounded-interval metric with three derived
 bipolar pseudo-distances and similarities, and computes the cardinality
 and entropy families together with an executable audit of their axioms.
+
+Each public name is declared once, in its module's ``__all__``; the
+package republishes those names, and its ``__all__`` is their union.
 """
 
-from .algebra import (
-    LUKASIEWICZ,
-    MIN_MAX,
-    NORM_PAIRS,
-    PRODUCT,
-    BipolarFuzzySet,
-    NormPair,
-    SetOpKind,
-    complement,
-    dual,
-    get_norm_pair,
-    intersection,
-    negation,
-    set_op,
-    union,
-)
-from .errors import (
-    DatasetError,
-    PentafuzzError,
-    UndefinedValueError,
-    UniverseMismatchError,
-    ValidationError,
-)
-from .kernel import (
-    AMBIGUOUS,
-    CONTRADICTORY,
-    EPSILON,
-    FALSE,
-    TRUE,
-    UNKNOWN,
-    BipolarValue,
-    PentaArrays,
-    PentaValue,
-    TauOmega,
-    ValueClass,
-    classify,
-    decompose,
-    from_penta,
-    from_tau_omega,
-    reduced_penta,
-    to_penta,
-    to_tau_omega,
-)
-from .measures import (
-    AuditReport,
-    AxiomResult,
-    CardinalityKind,
-    EntropyKind,
-    EntropyResult,
-    VectorNorm,
-    audit_sample,
-    axiom_audit,
-    border_cardinality,
-    cardinality_array,
-    cardinality_point,
-    cardinality_set,
-    entropy_array,
-    entropy_point,
-    entropy_set,
-    matches_paper_pattern,
-)
-from .metrics import (
-    Aggregation,
-    DistanceKind,
-    Interval,
-    bipolar_distance,
-    bipolar_similarity,
-    fuzzy_distance,
-    interval_distance,
-    omega_distance,
-    pairwise_matrix,
-    set_distance,
-    tau_distance,
-)
+from . import algebra, errors, kernel, measures, metrics
+from .algebra import *
+from .errors import *
+from .kernel import *
+from .measures import *
+from .metrics import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AMBIGUOUS",
-    "CONTRADICTORY",
-    "EPSILON",
-    "FALSE",
-    "LUKASIEWICZ",
-    "MIN_MAX",
-    "NORM_PAIRS",
-    "PRODUCT",
-    "TRUE",
-    "UNKNOWN",
-    "Aggregation",
-    "AuditReport",
-    "AxiomResult",
-    "BipolarFuzzySet",
-    "BipolarValue",
-    "CardinalityKind",
-    "DatasetError",
-    "DistanceKind",
-    "EntropyKind",
-    "EntropyResult",
-    "Interval",
-    "NormPair",
-    "PentaArrays",
-    "PentaValue",
-    "PentafuzzError",
-    "SetOpKind",
-    "TauOmega",
-    "UndefinedValueError",
-    "UniverseMismatchError",
-    "ValidationError",
-    "ValueClass",
-    "VectorNorm",
-    "audit_sample",
-    "axiom_audit",
-    "bipolar_distance",
-    "bipolar_similarity",
-    "border_cardinality",
-    "cardinality_array",
-    "cardinality_point",
-    "cardinality_set",
-    "classify",
-    "complement",
-    "decompose",
-    "dual",
-    "entropy_array",
-    "entropy_point",
-    "entropy_set",
-    "from_penta",
-    "from_tau_omega",
-    "fuzzy_distance",
-    "get_norm_pair",
-    "intersection",
-    "interval_distance",
-    "matches_paper_pattern",
-    "negation",
-    "omega_distance",
-    "pairwise_matrix",
-    "reduced_penta",
-    "set_distance",
-    "set_op",
-    "to_penta",
-    "to_tau_omega",
-    "tau_distance",
-    "union",
-]
+__all__ = algebra.__all__ + errors.__all__ + kernel.__all__ + measures.__all__ + metrics.__all__

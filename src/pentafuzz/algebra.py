@@ -19,7 +19,6 @@ __all__ = [
     "BipolarFuzzySet",
     "NormPair",
     "SetOpKind",
-    "check_same_universe",
     "complement",
     "dual",
     "get_norm_pair",

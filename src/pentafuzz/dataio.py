@@ -143,9 +143,16 @@ def _width(lens: np.ndarray) -> int:
     return max(1, min(int(lens.max()), 2 * -(-int(lens.sum()) // lens.size)))
 
 
+def _utf8(text: str) -> bytes:
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate such as "\ud800"; reports are UTF-8
+        raise ValidationError(f"text must be valid Unicode, got {text!r}") from None
+
+
 def _text_cells(texts: list[str], width: int | None = None) -> _Cells:
     """Cells holding each text's UTF-8 bytes, in a matrix of this width or of _width's."""
-    data = texts if "".join(texts).isascii() else [t.encode("utf-8") for t in texts]
+    data = texts if "".join(texts).isascii() else list(map(_utf8, texts))
     lens = np.fromiter(map(len, data), np.int64, len(data))
     width = _width(lens) if width is None else width
     # The S dtype pads with NUL bytes and cuts the texts beyond the width;
@@ -667,7 +674,7 @@ def _csv_table(blocks: Iterable[list[_Column]], paper: bool) -> Iterator[bytes]:
     formatted: dict = {}
     for n, columns in enumerate(blocks):
         if n == 0:
-            yield (",".join(_csv_texts([col.name for col in columns])) + "\n").encode("utf-8")
+            yield _utf8(",".join(_csv_texts([col.name for col in columns])) + "\n")
         yield _table_rows(columns, "csv", paper, formatted=formatted)
 
 
@@ -703,7 +710,7 @@ def _json_object(members: list[tuple[str, bytes | Iterable[bytes]]]) -> Iterator
 
 def _comments(pairs: list[tuple[str, object]]) -> bytes:
     """The '# key=value' lines a CSV report opens with."""
-    return "".join(f"# {key}={value}\n" for key, value in pairs).encode("utf-8")
+    return b"".join(_utf8(f"# {key}={value}\n") for key, value in pairs)
 
 
 def write_dataset(s: BipolarFuzzySet, fmt: str) -> bytes:

@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "DatasetError",
+    "PentafuzzError",
+    "UndefinedValueError",
+    "UniverseMismatchError",
+    "ValidationError",
+]
+
 
 class PentafuzzError(Exception):
     """Base class for all package errors."""

@@ -27,7 +27,12 @@ import numpy as np
 from . import algebra
 from .errors import UndefinedValueError, ValidationError
 from .kernel import (
+    AMBIGUOUS,
+    CONTRADICTORY,
     EPSILON,
+    FALSE,
+    TRUE,
+    UNKNOWN,
     BipolarValue,
     PentaArrays,
     decompose,
@@ -300,7 +305,10 @@ class AuditReport:
 
 
 # Landmark degrees (mu, nu), in the order the audit samples them.
-_LM_MU_NU = {"T": (1.0, 0.0), "F": (0.0, 1.0), "U": (0.0, 0.0), "C": (1.0, 1.0), "I": (0.5, 0.5)}
+_LM_MU_NU = {
+    name: (v.mu, v.nu)
+    for name, v in zip("TFUCI", (TRUE, FALSE, UNKNOWN, CONTRADICTORY, AMBIGUOUS), strict=True)
+}
 
 # Deterministic growth steps (alpha, beta) for containment probes; the
 # alpha = 0 steps lower nu at fixed mu, which is where monotonicity

@@ -240,6 +240,17 @@ class TestWriteDataset:
         for fmt in ("csv", "json"):
             assert read_dataset(io.BytesIO(write_dataset(s, fmt)), fmt) == s
 
+    def test_an_id_with_a_lone_surrogate_is_a_validation_error_in_csv(self):
+        # The CSV reader reads such an id from a text stream; the writer cannot
+        # write it as UTF-8, while JSON escapes it.
+        s = read_dataset(io.StringIO("id,mu,nu\n\ud800,0.1,0.2\n"), "csv")
+        with pytest.raises(ValidationError) as err:
+            write_dataset(s, "csv")
+        assert str(err.value) == "text must be valid Unicode, got '\\ud800'"
+        assert write_dataset(s, "json") == (
+            b'[\n  {\n    "id": "\\ud800",\n    "mu": 0.1,\n    "nu": 0.2\n  }\n]\n'
+        )
+
     def test_empty_set(self):
         s = BipolarFuzzySet([])
         assert write_dataset(s, "csv") == b"id,mu,nu\n"
@@ -333,6 +344,18 @@ class TestWriteReport:
         for fmt in ("csv", "json"):
             with pytest.raises(ValidationError, match="'x1' carries 0 cardinalities"):
                 write_report(short, fmt)
+
+    def test_a_lone_surrogate_is_a_validation_error_in_csv(self):
+        report = example_report()
+        bad_id = replace(report, elements=(replace(report.elements[0], element_id="x\udc80"),))
+        bad_pair = replace(report, similarity=(("x2", "\ud800", 0.5),))
+        bad_meta = replace(report, metadata=replace(report.metadata, dataset="d\ud800"))
+        for bad, text in ((bad_id, "'x\\udc80'"), (bad_pair, "'\\ud800'"),
+                          (bad_meta, "'# dataset=d\\ud800\\n'")):
+            with pytest.raises(ValidationError) as err:
+                write_report(bad, "csv")
+            assert str(err.value) == f"text must be valid Unicode, got {text}"
+            json.loads(write_report(bad, "json"))
 
     def test_similarity_null_when_absent(self):
         report = MeasureReport(metadata=ReportMetadata(dataset="d", tool_version="v"))
