@@ -103,7 +103,11 @@ def _add_id(index: dict[str, int], eid) -> None:
 
 def _index_ids(ids: tuple) -> dict[str, int]:
     """Each id's position; the first id that is not a nonempty string, or repeats, raises."""
-    if set(map(type, ids)) <= {str}:
+    try:
+        "".join(ids)  # raises TypeError unless every id is a str
+    except TypeError:
+        pass
+    else:
         index = dict(zip(ids, range(len(ids))))
         if len(index) == len(ids) and "" not in index:
             return index

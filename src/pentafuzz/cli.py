@@ -27,13 +27,13 @@ from .measures import (
     CardinalityKind,
     EntropyKind,
     VectorNorm,
+    _border_cardinality,
+    _cardinality_sum,
+    _entropy_mean,
     audit_sample,
     axiom_audit,
-    border_cardinality,
     cardinality_array,
-    cardinality_set,
     entropy_array,
-    entropy_set,
     matches_paper_pattern,
 )
 from .metrics import Aggregation, DistanceKind, _pairwise_blocks, set_distance
@@ -117,11 +117,11 @@ def _distance(args) -> Iterable[bytes]:
 
 def _card(args) -> Iterable[bytes]:
     kind = CardinalityKind(args.kind)
-    dataset = _load(args.inputs[0])
-    elements = _element_columns(dataset, card_kinds=(kind,))
+    elements = _element_columns(_load(args.inputs[0]), card_kinds=(kind,))
+    d = elements[1]
     aggregates = (
-        ("set_cardinality", cardinality_set(kind, dataset)),
-        ("border_cardinality", border_cardinality(kind, dataset)),
+        ("set_cardinality", _cardinality_sum(kind, d)),
+        ("border_cardinality", _border_cardinality(kind, d)),
     )
     return _report(args, elements, aggregates, cardinality_kinds=(args.kind,))
 
@@ -135,9 +135,8 @@ def _vector_norm(args) -> VectorNorm:
 
 def _entropy(args) -> Iterable[bytes]:
     kind, norm = EntropyKind(args.kind), _vector_norm(args)
-    dataset = _load(args.inputs[0])
-    elements = _element_columns(dataset, entropy_kinds=(kind,), vector_norm=norm)
-    aggregates = (("set_entropy", entropy_set(kind, dataset, norm)),)
+    elements = _element_columns(_load(args.inputs[0]), entropy_kinds=(kind,), vector_norm=norm)
+    aggregates = (("set_entropy", _entropy_mean(kind, elements[1], norm)),)
     return _report(args, elements, aggregates, entropy_kinds=(args.kind,))
 
 

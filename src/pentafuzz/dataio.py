@@ -13,9 +13,9 @@ were rounded (1/3 prints as 0.33, and a similarity of 2/3 as 0.66).
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
-import re
 from dataclasses import dataclass, fields
 from decimal import ROUND_DOWN, ROUND_HALF_EVEN, Context, Decimal
 from itertools import chain, repeat
@@ -81,8 +81,8 @@ def format_real(x: float, *, paper: bool = False) -> str:
 # where format_real's decimal rounding of repr(x) may differ: those
 # entries, and every entry outside the range where the test is exact, are
 # format_real's own text.  A table is laid out as one matrix of cell
-# matrices and literal columns, with a mask of the bytes each row holds,
-# and compacted once.
+# matrices and literal columns, and compacted once: a cell's unused bytes
+# are _PAD, which no UTF-8 text holds.
 
 # The four ASCII digits of each index below 10,000, one uint32 each.
 _DIGITS = np.arange(10_000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
@@ -101,37 +101,57 @@ _DEFAULT_TIE = 2.0**-30
 # 100: p = |x| * 1e12 < 2**47, off the snap of repr(x) by under p * 2**-52.
 _PAPER_LIMIT = 100.0
 _PAPER_TIE = 2.0**-50
+_PAD = 0xFF  # never a byte of UTF-8
 
 
 class _Cells(NamedTuple):
-    """A column of texts as bytes: row r's text is chars[r][mask[r]], or long[r]
-    for the few rows whose text is wider than the matrix (their mask is empty)."""
+    """A column of texts as bytes: row r's text is chars[r] without its _PAD bytes,
+    or long[r] for the few rows whose text is wider than the matrix (their row is
+    all _PAD)."""
 
     chars: np.ndarray  # uint8, (n, width)
-    mask: np.ndarray  # bool, (n, width)
     long: dict[int, bytes]
 
 
-def _digits(v: np.ndarray, width: int) -> np.ndarray:
-    """The `width` decimal digits, leading zeros included, of each int64 in v, which
-    must lie in [0, 10**width), as ASCII bytes."""
-    groups = -(-width // 4) or 1
-    out = np.empty((v.size, groups), np.uint32)
-    for g in range(groups - 1, 0, -1):
+def _write_digits(chars: np.ndarray, v: np.ndarray, end: int, count: int) -> None:
+    """Write the `count` decimal digits, leading zeros included, of each uint32 in v,
+    which must lie in [0, 10**count), into columns end - count to end - 1 of chars,
+    a C-contiguous uint8 matrix.
+
+    Each group of four digits from the right is one 4-byte store per row, so
+    up to three columns before end - count are overwritten too: they must
+    lie in the row, and be written after.
+    """
+    n, width = chars.shape
+    for stop in range(end, end - count, -4):
         high = v // 10_000
-        np.take(_DIGITS, v - high * 10_000, out=out[:, g])
+        # Each row's four bytes before column stop, as one unaligned uint32.
+        lanes = np.ndarray(n, np.uint32, chars, stop - 4, (width,))
+        lanes[...] = np.take(_DIGITS, v - high * 10_000)
         v = high
-    np.take(_DIGITS, v, out=out[:, 0])
-    return out.view(np.uint8)[:, 4 * groups - width :]
 
 
-def _first(k, width: int) -> np.ndarray:
-    """The mask of width entries whose first k are set, for each k in an int array
-    or for one int, with 0 <= k <= width."""
-    # Rows padded to whole uint64s, so the gather moves one word per 8 entries.
-    padded = -(-width // 8) * 8 or 8
-    table = np.arange(padded) < np.arange(width + 1)[:, None]
-    return np.take(table.view(np.uint64), k, axis=0).view(bool)[..., :width]
+@functools.cache
+def _real_pads(int_width: int, frac_width: int) -> np.ndarray:
+    """The unused bytes of a real cell with these digit widths, _PAD where the cell
+    shows nothing and 0 elsewhere, one row per code (negative * int_width + extra)
+    * (frac_width + 1) + decimals: a cell shows the sign if negative, the last
+    1 + extra integer digits, and the point and the first `decimals` fraction digits
+    if decimals > 0.  Rows are padded to whole uint64s, so a gather moves one word
+    per 8 columns."""
+    point = int_width + 1
+    column = np.arange(-(-(point + frac_width + 1) // 8) * 8)
+    shape = (2, int_width, frac_width + 1)
+    negative, extra, decimals = (a.reshape(-1, 1) for a in np.indices(shape))
+    shown = (
+        ((column == 0) & (negative == 1))
+        | ((column >= point - 1 - extra) & (column < point))
+        | ((column == point) & (decimals > 0))
+        | ((column > point) & (column <= point + decimals))
+    )
+    pads = np.where(shown, 0, _PAD).astype(np.uint8).view(np.uint64)
+    pads.flags.writeable = False  # shared by every call with these widths
+    return pads
 
 
 def _width(lens: np.ndarray) -> int:
@@ -150,18 +170,24 @@ def _utf8(text: str) -> bytes:
         raise ValidationError(f"text must be valid Unicode, got {text!r}") from None
 
 
-def _text_cells(texts: list[str], width: int | None = None) -> _Cells:
+def _text_cells(texts: Sequence[str], width: int | None = None) -> _Cells:
     """Cells holding each text's UTF-8 bytes, in a matrix of this width or of _width's."""
-    data = texts if "".join(texts).isascii() else list(map(_utf8, texts))
+    joined = "".join(texts)
+    if joined.isascii():
+        data, blob = texts, joined.encode("ascii")
+    else:
+        data = list(map(_utf8, texts))
+        blob = b"".join(data)
     lens = np.fromiter(map(len, data), np.int64, len(data))
     width = _width(lens) if width is None else width
-    # The S dtype pads with NUL bytes and cuts the texts beyond the width;
-    # the mask, not the padding, says where each text ends.
-    chars = np.array(data, dtype=f"S{width}").view(np.uint8).reshape(len(data), width)
     wide = lens > width
-    mask = np.arange(width) < np.where(wide, 0, lens)[:, None]
-    long = {r: texts[r].encode("utf-8") for r in np.flatnonzero(wide).tolist()}
-    return _Cells(chars, mask, long)
+    chars = np.full((len(lens), width), _PAD, np.uint8)
+    # Row after row, each text's bytes fill the first cells of its row.
+    blob = np.frombuffer(blob, np.uint8)
+    used = np.arange(width) < np.where(wide, 0, lens)[:, None]
+    chars[used] = blob[np.repeat(~wide, lens)] if wide.any() else blob
+    long = {r: _utf8(texts[r]) for r in np.flatnonzero(wide).tolist()}
+    return _Cells(chars, long)
 
 
 def _take(cells: _Cells, index: np.ndarray) -> _Cells:
@@ -171,7 +197,7 @@ def _take(cells: _Cells, index: np.ndarray) -> _Cells:
         rows = np.flatnonzero(np.isin(index, list(cells.long)))
         long = {r: cells.long[i] for r, i in zip(rows.tolist(), index[rows].tolist())}
     # np.take moves whole rows, much faster here than indexing with chars[index].
-    return _Cells(np.take(cells.chars, index, axis=0), np.take(cells.mask, index, axis=0), long)
+    return _Cells(np.take(cells.chars, index, axis=0), long)
 
 
 def _real_cells(values, paper: bool, json_numbers: bool = False) -> _Cells:
@@ -179,6 +205,8 @@ def _real_cells(values, paper: bool, json_numbers: bool = False) -> _Cells:
     json.dumps(float(format_real(x, paper=paper))): the same digits with the
     fraction's trailing zeros dropped, down to one."""
     x = np.asarray(values, dtype=np.float64).reshape(-1)
+    if not x.size:
+        return _Cells(np.empty((0, 1), np.uint8), {})
     ax = np.abs(x)
     # Entries outside the exact range overflow or are nan in the tests; they are slow.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -193,39 +221,44 @@ def _real_cells(values, paper: bool, json_numbers: bool = False) -> _Cells:
             decimals = np.full(x.size, 9, np.int8)
             for bound in _POW10[1:]:
                 decimals -= ax >= bound
-            p = ax * np.take(_POW10_INT, decimals)
+            p = ax * np.take(_POW10_F64, decimals)
             zero = ax == 0.0  # either sign prints "0"
             tie = np.abs(p - np.floor(p) - 0.5) < _DEFAULT_TIE
             slow = ~((ax >= _POW10[0]) & (ax < 1e6)) | tie
             slow &= ~zero
             decimals[slow | zero] = 0  # slow entries get no digits here
             # A JSON number has at least one decimal.
-            frac_width = max(int(decimals.max()) if x.size else 0, int(json_numbers))
+            frac_width = max(int(decimals.max()), int(json_numbers))
             # Every entry in units of 10**-frac_width, so one divisor splits them all.
             fixed = np.rint(np.where(slow, 0.0, p)).astype(np.int64)
             fixed *= np.take(_POW10_INT, frac_width - decimals)
             negative = x < 0.0
-    whole, frac = np.divmod(fixed, _POW10_INT[frac_width])
-    int_width = len(str(int(whole.max()))) if x.size else 1
-    int_digits = sum((whole >= _POW10_INT[j] for j in range(1, int_width)), start=1)
-    width = int_width + frac_width + 2
+    # Both parts are below 10**9: the integer part of a fast entry is below 10**7.
+    whole, frac = (part.astype(np.uint32) for part in np.divmod(fixed, _POW10_INT[frac_width]))
+    int_width = len(str(int(whole.max())))
+    point = int_width + 1
+    width = point + frac_width + 1
     chars = np.empty((x.size, width), np.uint8)
-    mask = np.empty((x.size, width), bool)
-    chars[:, 0], mask[:, 0] = ord("-"), negative
-    chars[:, 1 : int_width + 1] = _digits(whole, int_width)
-    # The integer digits right-aligned, as many as the integer part has.
-    mask[:, int_width:0:-1] = _first(int_digits, int_width)
-    chars[:, int_width + 1] = ord(".")
-    chars[:, int_width + 2 :] = digits = _digits(frac, frac_width)
+    # The fraction's stores run over the point and the integer digits, so they go first.
+    _write_digits(chars, frac, width, frac_width)
+    integer = np.empty((x.size, -(-int_width // 4) * 4), np.uint8)
+    _write_digits(integer, whole, integer.shape[1], int_width)
+    chars[:, 1:point] = integer[:, -int_width:]
+    chars[:, 0], chars[:, point] = ord("-"), ord(".")
     if json_numbers:
-        # The point, and the decimals up to the last nonzero one, at least one.
-        nonzero = (digits != ord("0")) * np.arange(1, frac_width + 1, dtype=np.uint8)
-        mask[:, int_width + 1] = True
-        mask[:, int_width + 2 :] = _first(np.maximum(nonzero.max(1, initial=0), 1), frac_width)
-    else:
-        mask[:, int_width + 1] = decimals > 0
-        mask[:, int_width + 2 :] = _first(decimals, frac_width)
+        # The decimals up to the last nonzero one, at least one: one fewer for
+        # each power of ten below 10**frac_width that divides the fraction.
+        decimals = np.full(x.size, frac_width, np.int8)
+        for power in (10**j for j in range(1, frac_width)):
+            decimals -= frac // power * power == frac
+    # The integer digits right-aligned, as many as the integer part has.
+    extra = sum((whole >= _POW10_INT[j] for j in range(1, int_width)), start=negative * int_width)
+    code = extra * (frac_width + 1) + decimals
+    pads = np.take(_real_pads(int_width, frac_width), code, axis=0).view(np.uint8)
+    chars |= pads[:, :width]
     rows = np.flatnonzero(slow)
+    if not rows.size:
+        return _Cells(chars, {})
     texts = [format_real(v, paper=paper) for v in x[rows].tolist()]
     if json_numbers:
         # json.dumps writes a finite float as its repr; format_real already
@@ -233,9 +266,8 @@ def _real_cells(values, paper: bool, json_numbers: bool = False) -> _Cells:
         finite = np.isfinite(x[rows]).tolist()
         texts = [repr(float(t)) if f else t for t, f in zip(texts, finite)]
     slow_cells = _text_cells(texts, width)
-    chars[rows], mask[rows] = slow_cells.chars, slow_cells.mask
-    long = {int(rows[r]): text for r, text in slow_cells.long.items()}
-    return _Cells(chars, mask, long)
+    chars[rows] = slow_cells.chars
+    return _Cells(chars, {int(rows[r]): text for r, text in slow_cells.long.items()})
 
 
 def _render_rows(pieces: list) -> bytes:
@@ -244,28 +276,26 @@ def _render_rows(pieces: list) -> bytes:
     n = next(len(p.chars) for p in pieces if isinstance(p, _Cells))
     widths = [p.chars.shape[1] if isinstance(p, _Cells) else len(p) for p in pieces]
     chars = np.empty((n, sum(widths)), np.uint8)
-    mask = np.empty((n, sum(widths)), bool)
     long, at = [], 0
     for piece, width in zip(pieces, widths):
         if isinstance(piece, _Cells):
             chars[:, at : at + width] = piece.chars
-            mask[:, at : at + width] = piece.mask
-            long += [(r, at, text) for r, text in piece.long.items()]
+            long += [(r * chars.shape[1] + at, text) for r, text in piece.long.items()]
         else:
             chars[:, at : at + width] = np.frombuffer(piece, np.uint8)
-            mask[:, at : at + width] = True
         at += width
-    out = chars[mask].tobytes()
+    used = chars != _PAD
+    out = chars[used].tobytes()
     if not long:
         return out
-    # Splice each long text in where its cell starts in the compacted rows:
-    # after the bytes of the rows above and of the row's own earlier pieces.
-    row_start = np.concatenate(([0], np.cumsum(mask.sum(1))))
-    parts, pos = [], 0
-    for r, at, text in sorted(long):
-        offset = int(row_start[r] + mask[r, :at].sum())
+    # Splice each long text in where its cell starts in the compacted rows: after
+    # the bytes used before the cell, counted from the last long cell.
+    flat = used.reshape(-1)
+    parts, pos, cell = [], 0, 0
+    for start, text in sorted(long):
+        offset = pos + np.count_nonzero(flat[cell:start])
         parts += [out[pos:offset], text]
-        pos = offset
+        pos, cell = offset, start
     parts.append(out[pos:])
     return b"".join(parts)
 
@@ -607,25 +637,34 @@ class _Column(NamedTuple):
     real: bool  # reals go through _real_cells; other cells are text
 
 
-_CSV_SPECIALS = re.compile(r'[,"\r\n]')
+def _csv_special(text: str) -> bool:
+    # What the csv module quotes a field for: ',', '"', '\r' or '\n'.
+    return "," in text or '"' in text or "\r" in text or "\n" in text
 
 
 def _csv_field(text: str) -> str:
-    # Quoted as the csv module quotes a field holding ',', '"', '\r' or '\n'.
     return '"' + text.replace('"', '""') + '"'
 
 
-def _csv_texts(cells: Sequence) -> list[str]:
-    texts = ["" if c is None else str(c) for c in cells]  # None is empty, as in the csv module
-    if _CSV_SPECIALS.search("".join(texts)) is None:
+def _csv_texts(cells: Sequence) -> Sequence[str]:
+    try:
+        joined = "".join(cells)  # raises TypeError unless every cell is a str
+        texts = cells
+    except TypeError:
+        # None is empty, and a str is its own text, as in the csv module.
+        texts = ["" if c is None else c if isinstance(c, str) else str(c) for c in cells]
+        joined = "".join(texts)
+    if not _csv_special(joined):
         return texts
-    return [_csv_field(t) if _CSV_SPECIALS.search(t) else t for t in texts]
+    return [_csv_field(t) if _csv_special(t) else t for t in texts]
 
 
 def _json_texts(cells: Sequence) -> list[str]:
-    if set(map(type, cells)) <= {str}:
-        return list(map(encode_basestring_ascii, cells))
-    return list(map(json.dumps, cells))
+    try:
+        "".join(cells)  # raises TypeError unless every cell is a str
+    except TypeError:
+        return list(map(json.dumps, cells))
+    return list(map(encode_basestring_ascii, cells))
 
 
 def _text_column(cells: Sequence, fmt: str) -> _Cells:

@@ -207,16 +207,23 @@ def _sum(values: np.ndarray) -> float:
 
 def cardinality_set(kind: CardinalityKind, a: algebra.BipolarFuzzySet) -> float:
     """Sum of pointwise cardinalities; lies in [0, card(universe)]."""
-    return _sum(cardinality_array(kind, decompose(*a.arrays())))
+    return _cardinality_sum(kind, decompose(*a.arrays()))
+
+
+def _cardinality_sum(kind: CardinalityKind, d: PentaArrays) -> float:
+    return _sum(cardinality_array(kind, d))
 
 
 def border_cardinality(kind: CardinalityKind, a: algebra.BipolarFuzzySet) -> float:
     """Mass between a set and its complement: card(X) - n(A) - n(A^c)."""
-    mu, nu = a.arrays()
+    return _border_cardinality(kind, decompose(*a.arrays()))
+
+
+def _border_cardinality(kind: CardinalityKind, d: PentaArrays) -> float:
+    own = _cardinality_sum(kind, d)
     # The complement (nu, mu), decomposed from the swapped degrees exactly
     # as to_penta decomposes each complemented value.
-    own = _sum(cardinality_array(kind, decompose(mu, nu)))
-    return len(a) - own - _sum(cardinality_array(kind, decompose(nu, mu)))
+    return len(d.mu) - own - _cardinality_sum(kind, decompose(d.nu, d.mu))
 
 
 def entropy_point(
@@ -265,9 +272,13 @@ def entropy_set(
     vector_norm: VectorNorm = VectorNorm.MAX,
 ) -> float:
     """Mean of pointwise scalar entropies over a nonempty universe."""
-    if len(a) == 0:
+    return _entropy_mean(kind, decompose(*a.arrays()), vector_norm)
+
+
+def _entropy_mean(kind: EntropyKind, d: PentaArrays, vector_norm: VectorNorm) -> float:
+    if len(d.mu) == 0:
         raise ValidationError("set entropy over an empty universe is undefined")
-    return _sum(entropy_array(kind, decompose(*a.arrays()), vector_norm)) / len(a)
+    return _sum(entropy_array(kind, d, vector_norm)) / len(d.mu)
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,10 @@ class TestSetStorage:
             (["a", "b", "a"], [0.1, 2.0, 0.1], "mu must lie in [0, 1], got 2.0"),
             (["a", "b", "a"], [0.1, 0.2, float("nan")], "duplicate element id 'a'"),
             (["a", 7, "c"], [0.1, 0.2, 0.3], "element id must be a nonempty string, got 7"),
+            ([7, "b"], [0.1, 0.2], "element id must be a nonempty string, got 7"),
+            (["a", b"x", "c"], [0.1, 0.2, 0.3], "element id must be a nonempty string, got b'x'"),
+            # A bad id after a duplicate: the duplicate comes first.
+            (["a", "a", b"x"], [0.1, 0.2, 0.3], "duplicate element id 'a'"),
         ],
     )
     def test_from_arrays_raises_the_error_of_the_first_offender(self, ids, mu, message):

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ import pentafuzz
 from pentafuzz import kernel
 from pentafuzz.algebra import NORM_PAIRS, SetOpKind
 from pentafuzz.cli import _build_parser, main
+from pentafuzz.dataio import format_real, read_dataset
 from pentafuzz.measures import CardinalityKind, EntropyKind, VectorNorm
 from pentafuzz.metrics import Aggregation, DistanceKind
 
@@ -66,6 +68,32 @@ class TestSimAndDist:
             assert main(["sim", "--kind", "pe", str(p1_pair)]) == 0
         assert spy.call_count == 1
         assert "b,a,0.800000" in capsysbinary.readouterr().out.decode()
+
+    @pytest.mark.parametrize(
+        "argv, calls",
+        [
+            (["card", "--kind", "pe"], 2),  # the set, and its complement for the border
+            (["card", "--kind", "min"], 2),
+            (["entropy", "--kind", "pe"], 1),
+            (["entropy", "--kind", "gm", "--vector-norm", "sum"], 1),
+        ],
+    )
+    def test_card_and_entropy_decompose_the_set_once(self, p1_pair, argv, calls, capsysbinary):
+        with mock.patch.object(kernel, "penta_arrays", wraps=kernel.penta_arrays) as spy:
+            assert main([*argv, str(p1_pair)]) == 0
+        assert spy.call_count == calls
+        # The aggregates are still the public set measures' values.
+        s = read_dataset(io.BytesIO(p1_pair.read_bytes()), "csv")
+        kind = argv[2]
+        if argv[0] == "card":
+            want = [("set_cardinality", pentafuzz.cardinality_set(CardinalityKind(kind), s)),
+                    ("border_cardinality", pentafuzz.border_cardinality(CardinalityKind(kind), s))]
+        else:
+            norm = VectorNorm(argv[-1]) if "--vector-norm" in argv else VectorNorm.MAX
+            want = [("set_entropy", pentafuzz.entropy_set(EntropyKind(kind), s, norm))]
+        out = capsysbinary.readouterr().out.decode()
+        for name, value in want:
+            assert f"\n{name},{format_real(value)}\n" in out
 
     def test_two_set_similarity_with_aggregation(self, tmp_path, capsysbinary):
         a = write(tmp_path, "a.csv", "id,mu,nu\ne1,0.8,0.2\ne2,1,0\n")

@@ -115,6 +115,37 @@ def test_json_numbers_equal_json_dumps_of_format_real_on_a_million_values(corpus
     assert json_numbers(xs, paper) == want
 
 
+def _tie_corpus(n: int, seed: int) -> np.ndarray:
+    """Seeded reals at and around the fast path's tie bands, where it hands an
+    entry to format_real, and at the edges of its exact range."""
+    rng = np.random.default_rng(seed)
+    m = n // 2
+    # Offsets in band widths; 0 puts p on a decimal tie, which only format_real may round.
+    widths = rng.choice([-4.0, -2.0, -1.0, -0.5, -2.0**-3, 0.0, 2.0**-3, 0.5, 1.0, 2.0, 4.0], m)
+    # Default mode: p = |x| * 10**(5 - k) within a few band widths, 2**-30, of q + 1/2.
+    k = rng.integers(-4, 6, m)
+    q = rng.integers(10**5, 10**6, m).astype(np.float64)
+    default = (q + 0.5 + widths * 2.0**-30) / 10.0 ** (5 - k)
+    # Paper mode: p = |x| * 1e12 within a few band widths, p * 2**-50, of h + 1/2,
+    # where rounding p up would carry into the hundredths.
+    h = (rng.integers(1, 10**4, m) * 10**10 - 1).astype(np.float64)
+    paper = (h + 0.5 + widths * (h + 0.5) * 2.0**-50) / 1e12
+    edges = [1.0 - 2.0**-53, 1.0, 1e-4, 1e-3, 0.1, 99.99999999999999, 100.0, 1e6]
+    edges = np.array(edges + [0.0, -0.0])
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    values = np.concatenate([default, paper, edges, -edges])
+    values[rng.random(values.size) < 0.3] *= -1.0
+    return values
+
+
+@pytest.mark.parametrize("paper", [False, True])
+def test_format_reals_equals_format_real_around_the_tie_bands(paper):
+    xs = _tie_corpus(40_000, seed=17).tolist()
+    want = [format_real(x, paper=paper) for x in xs]
+    assert format_reals(xs, paper=paper) == want
+    assert json_numbers(xs, paper) == [json.dumps(float(t)) for t in want]
+
+
 @settings(max_examples=300)
 @given(st.lists(st.floats(), max_size=40), st.booleans())
 @example([0.5, 1.0, 123456.0, 999999.5, 0.99999951, 1e-4, 5e-324, -0.0, 0.0, 1e300], False)

@@ -33,6 +33,7 @@ from pentafuzz.dataio import (
     ReportMetadata,
     _Column,
     _byte_fields,
+    _csv_texts,
     _lines,
     _real_cells,
     _table_rows,
@@ -427,6 +428,59 @@ def test_one_long_text_does_not_widen_the_matrix():
     cells = _text_cells(ids)
     assert cells.chars.shape[1] <= 10 and set(cells.long) == {1000}
     assert _lines(cells) == ids
+
+
+class Label(str):
+    """A str subclass whose str() differs from its characters, which are its field."""
+
+    def __str__(self):
+        return "not this text"
+
+
+CSV_CELLS = [",", '"', "\r", "\n", None, "", "plain", Label("a,b"), Label("x"), 7, 0.5, "\u00e9"]
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [["x", cell] for cell in CSV_CELLS] + [CSV_CELLS, [c for c in CSV_CELLS if isinstance(c, str)]],
+)
+def test_csv_texts_are_the_csv_module_fields(cells):
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\r\n").writerow(cells)
+    assert ",".join(_csv_texts(cells)) + "\r\n" == line.getvalue()
+
+
+def long_cells_report(paper):
+    """Long ids, and reals too long for their matrix (5e-324 in default mode, 1e300
+    in both), in several rows and columns of one table, two of them in one row."""
+    ids = [f"e{k}" for k in range(12)]
+    for r in (0, 5, 11):
+        ids[r] = f"{LONG_ID}{r}"
+    mu = [0.5] * 12
+    tau = [0.25] * 12
+    for r in (0, 3, 11):
+        mu[r] = 5e-324
+    for r in (3, 7):
+        tau[r] = 1e300
+    rows = tuple(
+        ElementRow(eid, x, 0.5, 0.25, 0.0, 0.0, 0.0, 0.75, t, -t, "fuzzy", (t,), ())
+        for eid, x, t in zip(ids, mu, tau)
+    )
+    meta = ReportMetadata("d", "0.1.0", cardinality_kinds=("pe",), paper_rounding=paper)
+    return MeasureReport(meta, rows, (), tuple(zip(ids, ids[::-1], tau)))
+
+
+@pytest.mark.parametrize("paper", [False, True])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_long_cells_in_several_rows_and_columns_land_in_place(fmt, paper):
+    report = long_cells_report(paper)
+    assert written(write_report, report, fmt) == written(reference_write_report, report, fmt)
+
+
+def test_texts_near_the_padding_byte_come_through_whole():
+    # A cell's unused bytes are 0xFF, which no UTF-8 text holds; these come nearest.
+    texts = ["\u00ff", "\uffff", "\U0010ffff", "a\u00ffb", "", "\x7f"]
+    assert _lines(_text_cells(texts)) == texts
 
 
 @settings(max_examples=150)
