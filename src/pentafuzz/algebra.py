@@ -157,13 +157,16 @@ class BipolarFuzzySet:
         self._store(tuple(index), index, *degree_arrays(mu, nu))
 
     @classmethod
-    def _from_arrays(cls, ids: Sequence[str], mu, nu) -> BipolarFuzzySet:
+    def _from_arrays(
+        cls, ids: Sequence[str], mu, nu, index: dict[str, int] | None = None
+    ) -> BipolarFuzzySet:
         """The set with element ids[k] carrying (mu[k], nu[k]).
 
         Ids and degrees are checked once per array.  A failure raises what
         ``BipolarFuzzySet(zip(ids, map(BipolarValue, mu, nu)))`` raises:
         the error of the first offending element, its id checked before
-        its degrees.
+        its degrees.  A caller that has checked the ids already may give
+        their id -> position dict as index, which the set then keeps.
         """
         ids = tuple(ids)
         mu = np.asarray(mu, dtype=np.float64)
@@ -177,7 +180,7 @@ class BipolarFuzzySet:
 
         mu, nu = degree_arrays(mu, nu, first_error)
         self = object.__new__(cls)
-        self._store(ids, _index_ids(ids), mu, nu)
+        self._store(ids, _index_ids(ids) if index is None else index, mu, nu)
         return self
 
     def _with_degrees(self, mu: np.ndarray, nu: np.ndarray) -> BipolarFuzzySet:
@@ -238,12 +241,20 @@ class BipolarFuzzySet:
         return f"BipolarFuzzySet({len(self._ids)} elements)"
 
 
-def check_same_universe(a: BipolarFuzzySet, b: BipolarFuzzySet) -> None:
-    """Raise UniverseMismatchError carrying the symmetric difference."""
-    # The id -> position dicts' key views compare as sets, without building one.
+def aligned_arrays(a: BipolarFuzzySet, b: BipolarFuzzySet) -> tuple[np.ndarray, np.ndarray]:
+    """b's degrees (mu, nu) in a's universe order, as b.arrays(a.universe) gives them.
+
+    Raises UniverseMismatchError carrying the symmetric difference unless
+    the two universes are equal, which equal lengths and a lookup of each
+    id of a in b prove, with each id hashed once.
+    """
+    if len(a) == len(b):
+        try:
+            return b.arrays(a.universe)
+        except ValidationError:  # an id of a that b lacks
+            pass
     left, right = a._index.keys(), b._index.keys()
-    if left != right:
-        raise UniverseMismatchError(sorted(left - right), sorted(right - left))
+    raise UniverseMismatchError(sorted(left - right), sorted(right - left))
 
 
 class SetOpKind(Enum):
@@ -303,8 +314,7 @@ def set_op(
         return a._with_degrees(*_UNARY[kind](mu, nu))
     if b is None:
         raise ValidationError(f"{kind.value} requires two sets")
-    check_same_universe(a, b)
-    b_mu, b_nu = b.arrays(a.universe)
+    b_mu, b_nu = aligned_arrays(a, b)
     # A pair outside the registry applies its scalar forms entry by entry.
     tnorm, tconorm = _ARRAY_FORMS.get(norms) or map(_elementwise, (norms.tnorm, norms.tconorm))
     if kind is SetOpKind.UNION:

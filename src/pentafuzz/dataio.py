@@ -16,6 +16,7 @@ import csv
 import functools
 import io
 import json
+import re
 from dataclasses import dataclass, fields
 from decimal import ROUND_DOWN, ROUND_HALF_EVEN, Context, Decimal
 from itertools import chain, repeat
@@ -102,6 +103,7 @@ _DEFAULT_TIE = 2.0**-30
 _PAPER_LIMIT = 100.0
 _PAPER_TIE = 2.0**-50
 _PAD = 0xFF  # never a byte of UTF-8
+_PAD_BYTE = bytes([_PAD])
 
 
 class _Cells(NamedTuple):
@@ -284,16 +286,16 @@ def _render_rows(pieces: list) -> bytes:
         else:
             chars[:, at : at + width] = np.frombuffer(piece, np.uint8)
         at += width
-    used = chars != _PAD
-    out = chars[used].tobytes()
+    # One C loop over the bytes, with no mask and no index array.
+    out = chars.tobytes().translate(None, _PAD_BYTE)
     if not long:
         return out
     # Splice each long text in where its cell starts in the compacted rows: after
     # the bytes used before the cell, counted from the last long cell.
-    flat = used.reshape(-1)
+    used = chars.reshape(-1) != _PAD
     parts, pos, cell = [], 0, 0
     for start, text in sorted(long):
-        offset = pos + np.count_nonzero(flat[cell:start])
+        offset = pos + np.count_nonzero(used[cell:start])
         parts += [out[pos:offset], text]
         pos, cell = offset, start
     parts.append(out[pos:])
@@ -332,8 +334,9 @@ def _parse_degree(raw: str) -> float:
     return float(raw)
 
 
-def _check_csv_row(lineno: int, row: list[str], seen: set[str]) -> tuple[str, float, float]:
-    """Every check of one CSV data row, in order; its id and degrees, or the first failure."""
+def _check_csv_row(lineno: int, row: list[str], seen: dict[str, int]) -> tuple[str, float, float]:
+    """Every check of one CSV data row, in order; its id and degrees, or the first failure.
+    seen maps each id of the rows above to its position, and gains this row's."""
     if len(row) != 3:
         raise DatasetError(f"line {lineno}: expected 3 columns, got {len(row)}")
     eid, raw_mu, raw_nu = row
@@ -341,7 +344,7 @@ def _check_csv_row(lineno: int, row: list[str], seen: set[str]) -> tuple[str, fl
         raise DatasetError(f"line {lineno}: empty element id")
     if eid in seen:
         raise DatasetError(f"line {lineno}: duplicate element id {eid!r}")
-    seen.add(eid)
+    seen[eid] = len(seen)
     try:
         mu, nu = _parse_degree(raw_mu), _parse_degree(raw_nu)
     except ValueError:
@@ -357,7 +360,7 @@ def _walk_csv(text: str) -> BipolarFuzzySet:
     """The set of a CSV text, checked from the top: the header, then each data row in
     order, each tokenizer error at its line; raises the first check that fails."""
     reader = csv.reader(io.StringIO(text))
-    seen: set[str] = set()
+    seen: dict[str, int] = {}
     try:
         header = next(reader, None)
         if header is None:
@@ -369,13 +372,15 @@ def _walk_csv(text: str) -> BipolarFuzzySet:
     except csv.Error as exc:  # a field over the limit, or a bare \r inside an unquoted line
         raise DatasetError(f"line {reader.line_num}: {exc}") from None
     ids, mu, nu = zip(*rows) if rows else ((), (), ())
-    return BipolarFuzzySet._from_arrays(ids, mu, nu)
+    return BipolarFuzzySet._from_arrays(ids, mu, nu, seen)
 
 
 # The byte route.  A CSV text with no '"' and no '\r', once its CRLF line ends
 # are read as LF, is split at the commas and newlines of its UTF-8 bytes:
 # csv.reader splits such a text at every comma and line end and skips blank
-# lines, and so does this.  Only the ids become strings; each degree field is
+# lines, and so does this.  With its last line ended and its blank lines
+# dropped, the separators of every block of lines of a valid text repeat one
+# pattern: ',' ',' '\n'.  Only the ids become strings; each degree field is
 # parsed from its bytes.
 #
 # A field d.ddd... with k = 1..19 decimals (k < 19 unless d is 0) is the
@@ -465,51 +470,47 @@ class _Fields(NamedTuple):
     end: np.ndarray
 
 
-def _line_fields(data: bytes, lo: int, hi: int) -> _Fields | None:
-    """The fields of the lines in data[lo:hi], which starts a line and ends one.
+# The separators of one line, in order: a line is id,mu,nu and its newline.
+_LINE_PATTERN = np.frombuffer(b",,\n", np.uint8)
 
-    None unless each of them that is not blank has exactly two commas and each
-    field fits csv's field limit, as in a valid text.
+
+def _line_fields(data: bytes, lo: int, hi: int) -> _Fields | None:
+    """The fields of the lines in data[lo:hi], which starts a line and ends one, each
+    line ended by a newline and none of them blank.
+
+    None unless each line has exactly two commas and each field fits csv's
+    field limit, as in a valid text.
     """
     buf = np.frombuffer(data, np.uint8, hi - lo, lo)
-    found = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
-    # Separator 0 is the newline that ends the line above, and one more ends the
-    # block: where the block ends with a newline, that one ends a blank line.
-    sep = np.concatenate(([-1], found, [len(buf)]))
-    newline = np.concatenate(([True], buf[found] == ord("\n"), [True]))
-    # A newline right after another ends a blank line, which csv.reader skips.
-    body = np.flatnonzero(~(newline[1:] & newline[:-1] & (np.diff(sep) == 1))) + 1
-    if len(body) % 3 or (newline[body].reshape(-1, 3) != (False, False, True)).any():
+    sep = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    if len(sep) % 3 or (buf[sep].reshape(-1, 3) != _LINE_PATTERN).any():
         return None
+    # Field f runs from just after separator f - 1 up to separator f.
+    start = np.empty_like(sep)
+    start[:1] = 0
+    start[1:] = sep[:-1] + 1
     # csv's limit counts characters: a field over it in bytes is decoded to count them.
     limit = csv.field_size_limit()
     if len(buf) > limit:
-        for f in body[sep[body] - sep[body - 1] > limit + 1].tolist():
-            if len(data[lo + sep[f - 1] + 1 : lo + sep[f]].decode("utf-8", "surrogatepass")) > limit:
+        for f in np.flatnonzero(sep - start > limit).tolist():
+            if len(data[lo + start[f] : lo + sep[f]].decode("utf-8", "surrogatepass")) > limit:
                 return None
-    first = body[0::3]
-    line, comma = sep[first - 1] + 1, sep[first]
+    line, comma = start[0::3], sep[0::3]
     # Each id and the comma after it, gathered: one decode and one split.
     width = comma + 1 - line
     at = np.repeat(line - np.cumsum(width) + width, width) + np.arange(width.sum())
     ids = np.take(buf, at).tobytes().decode("utf-8", "surrogatepass").split(",")[:-1]
-    # mu runs from the line's first comma to its second, nu from there to its end.
-    return _Fields(ids, lo + 1 + sep[first + [[0], [1]]], lo + sep[first + [[1], [2]]])
+    # mu runs from the line's first comma to its second, nu from there to its newline.
+    return _Fields(ids, lo + start.reshape(-1, 3).T[1:], lo + sep.reshape(-1, 3).T[1:])
 
 
 # Bytes per block of lines, at least: a block ends at the end of a line.
 _LINE_BLOCK = 2**16
 
 
-def _byte_fields(data: bytes) -> list[_Fields] | None:
-    """The fields of the lines below the header of a CSV held as UTF-8 bytes, with
-    no '"', no '\\r' and the first line id,mu,nu, in blocks of lines; at least one.
-
-    csv.reader splits such a text at every comma and newline and skips blank
-    lines, and so does this.  None where _line_fields finds a block that no
-    valid text has.
-    """
-    blocks, lo = [], min(len(b"id,mu,nu\n"), len(data))
+def _line_blocks(data: bytes) -> list[_Fields] | None:
+    """_line_fields of each block of lines below the header line; at least one block."""
+    blocks, lo = [], len(b"id,mu,nu\n")
     while lo < len(data) or not blocks:
         hi = data.find(b"\n", lo + _LINE_BLOCK - 1) + 1 or len(data)
         block = _line_fields(data, lo, hi)
@@ -520,6 +521,27 @@ def _byte_fields(data: bytes) -> list[_Fields] | None:
     return blocks
 
 
+def _byte_fields(data: bytes) -> tuple[bytes, list[_Fields]] | None:
+    """The fields of the lines below the header of a CSV held as UTF-8 bytes, with
+    no '"', no '\\r' and the first line id,mu,nu, in blocks of lines (at least one),
+    and the text they index: data with its last line ended and without blank lines.
+
+    csv.reader splits such a text at every comma and newline and skips blank
+    lines, and so does this.  None where _line_fields finds a block that no
+    valid text has.
+    """
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    blocks = _line_blocks(data)
+    # A blank line breaks the line pattern; csv.reader skips it.  Looking for
+    # one only here spares valid texts a scan: with a newline every few dozen
+    # bytes, b"\n\n" in data takes about a quarter of the time of _line_blocks.
+    if blocks is None and b"\n\n" in data:
+        data = re.sub(rb"\n\n+", b"\n", data)
+        blocks = _line_blocks(data)
+    return None if blocks is None else (data, blocks)
+
+
 def _csv_columns(data: bytes) -> tuple[Sequence[str], np.ndarray, np.ndarray] | None:
     """The id, mu and nu columns of a CSV below its header line id,mu,nu, by the byte
     route; None where the text holds a '"' or a bare '\\r' or _byte_fields finds a
@@ -527,9 +549,10 @@ def _csv_columns(data: bytes) -> tuple[Sequence[str], np.ndarray, np.ndarray] | 
     if b"\r" in data:  # CRLF line ends read as LF; a bare \r stays
         data = data.replace(b"\r\n", b"\n")
     header = data.startswith(b"id,mu,nu\n") or data == b"id,mu,nu"
-    blocks = _byte_fields(data) if header and b'"' not in data and b"\r" not in data else None
-    if blocks is None:
+    fields = _byte_fields(data) if header and b'"' not in data and b"\r" not in data else None
+    if fields is None:
         return None
+    data, blocks = fields
     ids = tuple(chain.from_iterable(block.ids for block in blocks))
     degrees = [_parse_degrees(data, block.start, block.end) for block in blocks]
     return ids, *np.concatenate(degrees, axis=1)
@@ -547,8 +570,9 @@ def _read_csv(data: bytes) -> BipolarFuzzySet:
     return _walk_csv(data.decode("utf-8", "surrogatepass"))
 
 
-def _check_json_record(idx: int, record, seen: set[str]) -> tuple[str, float, float]:
-    """Every check of one JSON record, in order; its id and degrees, or the first failure."""
+def _check_json_record(idx: int, record, seen: dict[str, int]) -> tuple[str, float, float]:
+    """Every check of one JSON record, in order; its id and degrees, or the first failure.
+    seen maps each id of the records above to its position, and gains this record's."""
     where = f"record {idx}"
     if not isinstance(record, dict):
         raise DatasetError(f"{where}: expected an object, got {type(record).__name__}")
@@ -564,7 +588,7 @@ def _check_json_record(idx: int, record, seen: set[str]) -> tuple[str, float, fl
         raise DatasetError(f"{where}: id must be valid Unicode, got {eid!r}") from None
     if eid in seen:
         raise DatasetError(f"{where}: duplicate element id {eid!r}")
-    seen.add(eid)
+    seen[eid] = len(seen)
     degrees = []
     for key in ("mu", "nu"):
         # float() would accept true as 1.0 and "0.3" as 0.3.
@@ -592,10 +616,10 @@ def _read_json(text: str) -> BipolarFuzzySet:
         raise DatasetError(f"invalid JSON: {exc}") from None
     if not isinstance(data, list):
         raise DatasetError("JSON dataset must be an array of objects")
-    seen: set[str] = set()
+    seen: dict[str, int] = {}
     records = [_check_json_record(idx, record, seen) for idx, record in enumerate(data)]
     ids, mu, nu = zip(*records) if records else ((), (), ())
-    return BipolarFuzzySet._from_arrays(ids, mu, nu)
+    return BipolarFuzzySet._from_arrays(ids, mu, nu, seen)
 
 
 def read_dataset(source: BinaryIO, fmt: str) -> BipolarFuzzySet:
@@ -667,22 +691,38 @@ def _json_texts(cells: Sequence) -> list[str]:
     return list(map(encode_basestring_ascii, cells))
 
 
-def _text_column(cells: Sequence, fmt: str) -> _Cells:
+def _text_column(cells: Sequence | _Indexed, fmt: str, formatted: dict) -> _Cells:
+    """A text column's cells as CSV fields or JSON values.  An indexed column's texts
+    are formatted once per table: formatted maps id(texts) to (texts, their cells),
+    and holding the texts keeps another object from taking their id."""
+    if isinstance(cells, _Indexed):
+        texts, index = cells
+        if id(texts) not in formatted:
+            formatted[id(texts)] = texts, _text_column(texts, fmt, formatted)
+        return _take(formatted[id(texts)][1], index)
     return _text_cells(_json_texts(cells) if fmt == "json" else _csv_texts(cells))
 
 
-def _cells(col: _Column, fmt: str, paper: bool, formatted: dict) -> _Cells:
-    """A column's cells as CSV fields or JSON values.  An indexed column's texts are
-    formatted once per table: formatted maps id(texts) to (texts, their cells), and
-    holding the texts keeps another object from taking their id."""
-    if col.real:
-        return _real_cells(col.cells, paper, json_numbers=fmt == "json")
-    if not isinstance(col.cells, _Indexed):
-        return _text_column(col.cells, fmt)
-    texts, index = col.cells
-    if id(texts) not in formatted:
-        formatted[id(texts)] = texts, _text_column(texts, fmt)
-    return _take(formatted[id(texts)][1], index)
+def _split(cells: _Cells, parts: int) -> list[_Cells]:
+    """The cells cut into `parts` runs of rows of equal length, in order."""
+    n = len(cells.chars) // parts
+    long = [{} for _ in range(parts)]
+    for r, text in cells.long.items():
+        long[r // n][r % n] = text
+    return [_Cells(cells.chars[j * n : (j + 1) * n], long[j]) for j in range(parts)]
+
+
+def _table_cells(columns: list[_Column], fmt: str, paper: bool, formatted: dict) -> list[_Cells]:
+    """Each column's cells.  The real columns are formatted in one _real_cells call,
+    column after column, so they share one width; a cell's unused bytes are _PAD."""
+    # Column by column, so the first column that cannot be written raises.
+    cells = [np.asarray(col.cells, np.float64) if col.real
+             else _text_column(col.cells, fmt, formatted) for col in columns]
+    reals = [c for c in cells if isinstance(c, np.ndarray)]
+    if not reals:
+        return cells
+    real_cells = iter(_split(_real_cells(np.stack(reals), paper, fmt == "json"), len(reals)))
+    return [next(real_cells) if isinstance(c, np.ndarray) else c for c in cells]
 
 
 def _table_rows(
@@ -690,17 +730,17 @@ def _table_rows(
 ) -> bytes:
     """The table's rows: CSV lines, or JSON objects laid out as json.dumps(indent=2)
     at this depth, each followed by a comma.  Each row's bytes depend on that row only."""
-    formatted = {} if formatted is None else formatted
+    cells = _table_cells(columns, fmt, paper, {} if formatted is None else formatted)
     pieces = []
     if fmt == "csv":
-        for col in columns:
-            pieces += [_cells(col, fmt, paper, formatted), b","]
+        for col in cells:
+            pieces += [col, b","]
         pieces[-1] = b"\n"
     else:
         pad = "  " * (level + 1)
         lead = pad + "{\n"
-        for key, col in zip(_json_texts([col.name for col in columns]), columns):
-            pieces += [f"{lead}{pad}  {key}: ".encode("ascii"), _cells(col, fmt, paper, formatted)]
+        for key, col in zip(_json_texts([col.name for col in columns]), cells):
+            pieces += [f"{lead}{pad}  {key}: ".encode("ascii"), col]
             lead = ",\n"
         pieces.append(f"\n{pad}}},\n".encode("ascii"))
     return _render_rows(pieces)

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import BipolarFuzzySet, check_same_universe
+from .algebra import BipolarFuzzySet, aligned_arrays
 from .errors import ValidationError
 from .kernel import (
     BipolarValue,
@@ -181,11 +181,11 @@ def set_distance(
     aggregation: Aggregation = Aggregation.MEAN,
 ) -> float:
     """Aggregate elementwise distances over a shared, nonempty universe."""
-    check_same_universe(a, b)
+    b_mu, b_nu = aligned_arrays(a, b)
     if len(a) == 0:
         raise ValidationError("set distance over an empty universe is undefined")
     da = decompose(*a.arrays())
-    db = decompose(*b.arrays(a.universe))
+    db = decompose(b_mu, b_nu)
     # Builtin sum and max over Python floats in universe order, as the
     # scalar form aggregates them; np.sum would pair terms differently.
     values = _combine_arrays(kind, da.tau, da.omega, db.tau, db.omega).tolist()

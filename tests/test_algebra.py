@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,6 +14,7 @@ from pentafuzz import (
     TRUE,
     BipolarFuzzySet,
     BipolarValue,
+    DistanceKind,
     SetOpKind,
     UniverseMismatchError,
     ValidationError,
@@ -22,10 +25,11 @@ from pentafuzz import (
     get_norm_pair,
     intersection,
     negation,
+    set_distance,
     set_op,
     union,
 )
-from pentafuzz.algebra import check_same_universe
+from pentafuzz.algebra import aligned_arrays
 from helpers import bipolar_values, fuzzy_values, unit_floats, value_set_pairs
 
 ALL_NORMS = list(NORM_PAIRS.values())
@@ -176,15 +180,15 @@ class TestSetOp:
         for left, right, only_left, only_right in ((a, b, "['w', 'x']", "['z']"),
                                                    (b, a, "['z']", "['w', 'x']")):
             with pytest.raises(UniverseMismatchError) as err:
-                check_same_universe(left, right)
+                aligned_arrays(left, right)
             assert str(err.value) == (
                 f"universe mismatch: only in left operand {only_left}, "
                 f"only in right operand {only_right}"
             )
         # Equal universes in another order, and of equal size but other ids.
-        check_same_universe(a, BipolarFuzzySet([("w", TRUE), ("x", TRUE), ("y", TRUE)]))
+        aligned_arrays(a, BipolarFuzzySet([("w", TRUE), ("x", TRUE), ("y", TRUE)]))
         with pytest.raises(UniverseMismatchError, match=r"\['v'\].*\['w'\]"):
-            check_same_universe(BipolarFuzzySet([("v", TRUE), ("x", TRUE), ("y", TRUE)]), a)
+            aligned_arrays(BipolarFuzzySet([("v", TRUE), ("x", TRUE), ("y", TRUE)]), a)
 
     def test_arity_validation(self):
         s = BipolarFuzzySet([("a", TRUE)])
@@ -226,6 +230,81 @@ class TestSetOp:
             u = set_op(SetOpKind.UNION, a, b, norms)
             for eid, val in u:
                 assert val == union(a.value(eid), b.value(eid), norms)
+
+
+class HashCountingId(str):
+    """An id that counts, by the object's id(), how often it is hashed."""
+
+    counts: Counter = Counter()
+
+    def __hash__(self):
+        HashCountingId.counts[id(self)] += 1
+        return str.__hash__(self)
+
+
+def set_distance_of(a, b):
+    return set_distance(DistanceKind.PSEUDO_EUCLID, a, b)
+
+
+def union_of(a, b):
+    return set_op(SetOpKind.UNION, a, b)
+
+
+class TestAlignment:
+    """set_distance and binary set_op line b up with a's universe, or raise the
+    UniverseMismatchError of the two universes' symmetric difference."""
+
+    A = BipolarFuzzySet((f"e{k}", BipolarValue(k / 8, 0.5)) for k in range(5))
+
+    @staticmethod
+    def other(ids):
+        return BipolarFuzzySet((eid, BipolarValue(0.25, k / 8)) for k, eid in enumerate(ids))
+
+    @pytest.mark.parametrize("align", [set_distance_of, union_of])
+    def test_a_shuffled_universe_is_lined_up_by_id(self, align):
+        ids = ["e3", "e0", "e4", "e1", "e2"]
+        b = self.other(ids)
+        in_order = BipolarFuzzySet((eid, b.value(eid)) for eid in self.A.universe)
+        assert align(self.A, b) == align(self.A, in_order)
+
+    @pytest.mark.parametrize("align", [set_distance_of, union_of])
+    @pytest.mark.parametrize(
+        "ids, only_left, only_right",
+        [
+            (["e0", "e1", "e3", "e4"], ("e2",), ()),  # lacks one id
+            (["e0", "e1", "e2", "e3", "e4", "f"], (), ("f",)),  # one extra id
+            (["e1", "z", "e0", "y", "x", "w"], ("e2", "e3", "e4"), ("w", "x", "y", "z")),
+            (["e0", "e1", "e2", "e3", "f"], ("e4",), ("f",)),  # same length, one id other
+            ([], ("e0", "e1", "e2", "e3", "e4"), ()),
+        ],
+    )
+    def test_other_universes_raise_their_symmetric_difference(
+        self, align, ids, only_left, only_right
+    ):
+        for a, b, left, right in ((self.A, self.other(ids), only_left, only_right),
+                                  (self.other(ids), self.A, only_right, only_left)):
+            with pytest.raises(UniverseMismatchError) as err:
+                align(a, b)
+            assert (err.value.only_left, err.value.only_right) == (left, right)
+            assert str(err.value) == (
+                f"universe mismatch: only in left operand {list(left)}, "
+                f"only in right operand {list(right)}"
+            )
+
+    def test_two_empty_sets(self):
+        empty = BipolarFuzzySet([])
+        with pytest.raises(ValidationError, match="^set distance over an empty universe is undefined$"):
+            set_distance_of(empty, BipolarFuzzySet([]))
+        assert union_of(empty, BipolarFuzzySet([])) == empty
+
+    @pytest.mark.parametrize("align", [set_distance_of, union_of])
+    def test_each_id_is_hashed_once(self, align):
+        ids = [HashCountingId(f"e{k}") for k in range(6)]
+        a = BipolarFuzzySet((eid, TRUE) for eid in ids)
+        b = BipolarFuzzySet((eid, FALSE) for eid in reversed(ids))
+        HashCountingId.counts.clear()
+        align(a, b)
+        assert [HashCountingId.counts[id(eid)] for eid in ids] == [1] * len(ids)
 
 
 class TestSetStorage:

@@ -14,6 +14,7 @@ from pentafuzz import (
     DatasetError,
     EntropyKind,
     ValidationError,
+    algebra,
     axiom_audit,
     dataio,
 )
@@ -205,6 +206,28 @@ class TestReadDataset:
         with mock.patch.object(dataio.csv, "reader", side_effect=AssertionError("csv.reader")):
             s = read_csv(text)
         assert s.universe == ("x", "y") and s.value("y") == BipolarValue(0.125, 1.0)
+
+    def test_the_walks_hand_their_id_positions_to_the_set(self):
+        # Each walk checks every id for a duplicate against a dict of positions,
+        # which the set keeps: no id is hashed a second time to index the set.
+        with mock.patch.object(algebra, "_index_ids", wraps=algebra._index_ids) as index_ids:
+            walked = read_csv('id,mu,nu\n"a,b",0.5,0.25\nc,0.125,1\n')
+            records = read_json(
+                '[{"id": "a,b", "mu": 0.5, "nu": 0.25}, {"id": "c", "mu": 0.125, "nu": 1}]'
+            )
+        assert index_ids.call_count == 0
+        for s in (walked, records):
+            assert s.universe == ("a,b", "c")
+            assert s.arrays(("c", "a,b"))[1].tolist() == [1.0, 0.25]
+        for read, text, message in (
+            (read_csv, 'id,mu,nu\n"a",0.5,0.25\nb,0.5,0.25\na,0.1,x\n',
+             "line 4: duplicate element id 'a'"),
+            (read_json, '[{"id": "a", "mu": 0.5, "nu": 0.25}, {"id": "a", "mu": 2, "nu": 0}]',
+             "record 1: duplicate element id 'a'"),
+        ):
+            with pytest.raises(DatasetError) as err:
+                read(text)
+            assert str(err.value) == message
 
     def test_unknown_format(self):
         from pentafuzz import ValidationError

@@ -177,6 +177,17 @@ def json_inputs(draw):
 @example(raw=b"id,mu,nu\na,0.5,0.25\nb,0.125,1\n\rc,0.5,0.5\n")
 # A quoted text, walked: the duplicate id above the bad degree is named.
 @example(raw=b'id,mu,nu\n"a",0.5,0.25\na,0.5,0.25\nb,1.5,0.25\n')
+# Blank lines, which break the byte route's line pattern and are dropped before
+# it reads the lines again: right after the header, in runs of three or more,
+# at the end, in CRLF text, and above a bad line, named at its line as given.
+@example(raw=b"id,mu,nu\n\na,0.5,0.25\nb,0.125,1\n")
+@example(raw=b"id,mu,nu\na,0.5,0.25\n\n\n\nb,0.125,1\n\n\n\n\n")
+@example(raw=b"id,mu,nu\na,0.5,0.25\n\n")
+@example(raw=b"id,mu,nu\r\n\r\na,0.5,0.25\r\n\r\n\r\n\r\nb,0.125,1\r\n\r\n")
+@example(raw=b"id,mu,nu\n\n\na,0.5,0.25\n\nb,x,1\n\nc,0.5,0.5")
+# A header alone, with its newline and without it.
+@example(raw=b"id,mu,nu\n")
+@example(raw=b"id,mu,nu")
 def test_csv_reader_matches_the_row_loop(raw):
     assert_same_as_reference(raw, "csv")
 
@@ -210,10 +221,10 @@ PLAIN_LINES = st.one_of(
 def byte_columns(text: str):
     """The byte route's id, mu and nu columns of a text, each a list of strings: its
     ids, and its degree fields' bytes decoded; None where it takes no columns."""
-    data = text.encode("utf-8")
-    blocks = _byte_fields(data)
-    if blocks is None:
+    fields = _byte_fields(text.encode("utf-8"))
+    if fields is None:
         return None
+    data, blocks = fields
     cells = [
         [data[a:z].decode("utf-8") for block in blocks
          for a, z in zip(block.start[j].tolist(), block.end[j].tolist())]
@@ -268,6 +279,27 @@ def test_a_field_over_the_limit_is_named_at_its_line(char):
     assert outcome(lambda: read_dataset(io.BytesIO(raw), "csv")) == (
         "raises",
         f"line 4: field larger than field limit ({LIMIT})",
+    )
+
+
+def test_blank_lines_on_both_sides_of_a_block_boundary():
+    # A block of lines ends at the first line end 64 KiB or more past its start.
+    # Lines are 16 bytes, and each of the lines around byte 65,536 is followed
+    # by a blank line, so blank lines lie on both sides of the first boundary.
+    near = range(4080, 4110)
+    lines = [f"e{k:05d},0.5,0.25\n" + "\n" * (k in near) for k in range(5000)]
+    raw = ("id,mu,nu\n" + "".join(lines)).encode("ascii")
+    _, blocks = _byte_fields(raw)
+    assert len(blocks) == 2 and int(blocks[0].ids[-1][1:]) in near
+    with mock.patch.object(dataio, "_walk_csv", side_effect=AssertionError("walked")):
+        assert_same_as_reference(raw, "csv")
+    # A bad degree past the boundary is named at its line, blank lines counted.
+    bad = raw.replace(b"e04500,0.5,", b"e04500,x,")
+    lineno = bad[: bad.index(b"e04500")].count(b"\n") + 1
+    assert_same_as_reference(bad, "csv")
+    assert outcome(lambda: read_dataset(io.BytesIO(bad), "csv")) == (
+        "raises",
+        f"line {lineno}: mu/nu must be numbers, got 'x', '0.25'",
     )
 
 
@@ -352,12 +384,32 @@ def padded_report(paper):
     )
 
 
+def unlike_columns_report(paper):
+    """Real columns that differ in sign and integer width, and in slow entries
+    (nan, the infinities, 5e-324, 1e300, a default-mode tie), in one table, whose
+    real columns are formatted together."""
+    wide = [0.5, -0.25, 12345.5, 999999.5, 0.5, -0.25]
+    slow = [float("nan"), float("inf"), float("-inf"), 5e-324, 1e300, 0.1234565]
+    rows = tuple(
+        ElementRow(f"e{k}", 0.5, 0.25, x, 0.0, y, 0.75, -0.0, x, y, "fuzzy", (y,), (x,))
+        for k, (x, y) in enumerate(zip(wide, slow))
+    )
+    meta = ReportMetadata(
+        "d", "0.1.0", cardinality_kinds=("pe",), entropy_kinds=("gm",), paper_rounding=paper
+    )
+    return MeasureReport(meta, rows, (("w", 999999.5), ("s", 5e-324)), None)
+
+
 @settings(max_examples=300)
 @given(reports(), st.sampled_from(["csv", "json"]))
 @example(padded_report(False), "csv")
 @example(padded_report(False), "json")
 @example(padded_report(True), "csv")
 @example(padded_report(True), "json")
+@example(unlike_columns_report(False), "csv")
+@example(unlike_columns_report(False), "json")
+@example(unlike_columns_report(True), "csv")
+@example(unlike_columns_report(True), "json")
 def test_write_report_matches_the_reference_writer(report, fmt):
     assert written(write_report, report, fmt) == written(reference_write_report, report, fmt)
 
