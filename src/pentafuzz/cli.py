@@ -19,7 +19,8 @@ from typing import Iterable
 from . import __version__
 from .algebra import NORM_PAIRS, BipolarFuzzySet, SetOpKind, set_op
 from .dataio import (
-    ReportMetadata, _Indexed, _write_report, read_dataset, write_audit, write_dataset
+    ReportMetadata, _Indexed, _pair_table, _write_report, read_dataset, write_audit,
+    write_dataset,
 )
 from .errors import DatasetError, PentafuzzError, ValidationError
 from .kernel import _CLASS_TEXTS, _class_codes, decompose
@@ -105,7 +106,7 @@ def _distance(args) -> Iterable[bytes]:
         elements = _element_columns(_load(args.inputs[0]))
         ids, d = elements[:2]
         pairs = (
-            (_Indexed(ids, j), _Indexed(ids, k), values)
+            _pair_table(_Indexed(ids, j), _Indexed(ids, k), values)
             for j, k, values in _pairwise_blocks(kind, d, similarity)
         )
         return _report(args, elements, pairs=pairs, distance_kind=args.kind)

@@ -60,6 +60,10 @@ def format_real(x: float, *, paper: bool = False) -> str:
     decimals first so a stored 0.19999999999999996 truncates as 0.2, not
     as 0.19.  Both modes print nan as NaN and infinities as Infinity and
     -Infinity.
+
+    The six digits are those of the value's own exponent, so where rounding
+    carries into a new leading digit there are seven: 0.9999999999999999
+    prints as 1.000000, but 1.0 as 1.00000.
     """
     d = Decimal(repr(float(x)))
     if not d.is_finite():
@@ -81,9 +85,9 @@ def format_real(x: float, *, paper: bool = False) -> str:
 # rounding boundary (q + 1/2) lies within float64 error of |x| * 10**d,
 # where format_real's decimal rounding of repr(x) may differ: those
 # entries, and every entry outside the range where the test is exact, are
-# format_real's own text.  A table is laid out as one matrix of cell
-# matrices and literal columns, and compacted once: a cell's unused bytes
-# are _PAD, which no UTF-8 text holds.
+# format_real's own text.  A block of a table's rows is laid out as one
+# matrix of cell matrices and literal columns, and compacted once: a cell's
+# unused bytes are _PAD, which no UTF-8 text holds.
 
 # The four ASCII digits of each index below 10,000, one uint32 each.
 _DIGITS = np.arange(10_000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
@@ -715,14 +719,11 @@ def _split(cells: _Cells, parts: int) -> list[_Cells]:
 def _table_cells(columns: list[_Column], fmt: str, paper: bool, formatted: dict) -> list[_Cells]:
     """Each column's cells.  The real columns are formatted in one _real_cells call,
     column after column, so they share one width; a cell's unused bytes are _PAD."""
-    # Column by column, so the first column that cannot be written raises.
-    cells = [np.asarray(col.cells, np.float64) if col.real
-             else _text_column(col.cells, fmt, formatted) for col in columns]
-    reals = [c for c in cells if isinstance(c, np.ndarray)]
-    if not reals:
-        return cells
-    real_cells = iter(_split(_real_cells(np.stack(reals), paper, fmt == "json"), len(reals)))
-    return [next(real_cells) if isinstance(c, np.ndarray) else c for c in cells]
+    reals = [col.cells for col in columns if col.real]
+    real_cells = iter(_split(_real_cells(np.stack(reals), paper, fmt == "json"), len(reals))
+                      if reals else ())
+    return [next(real_cells) if col.real else _text_column(col.cells, fmt, formatted)
+            for col in columns]
 
 
 def _table_rows(
@@ -744,6 +745,56 @@ def _table_rows(
             lead = ",\n"
         pieces.append(f"\n{pad}}},\n".encode("ascii"))
     return _render_rows(pieces)
+
+
+# Cells per block of _row_blocks, at most: a block of a table with k columns
+# holds _BLOCK_CELLS // k rows.  A block's cell matrices and the bytes compacted
+# from them exist one block at a time, so a table's memory does not grow with
+# its rows.  Each block pays fixed costs, about 0.1 ms whatever its width, so
+# blocks are sized in cells: with 2,048-row blocks the 3-column dataset table
+# paid them every 6,144 cells, and was written slower than whole.
+_BLOCK_CELLS = 2**15
+
+
+def _check_text(cells: Sequence | _Indexed, fmt: str) -> None:
+    """Raise what formatting the whole text column raises, if it raises."""
+    if isinstance(cells, _Indexed):
+        cells = cells.texts
+    try:
+        joined = "".join(cells)  # raises TypeError unless every cell is a str
+        if fmt == "csv" and not joined.isascii():
+            joined.encode("utf-8")  # raises for a lone surrogate, which JSON escapes
+    except (TypeError, UnicodeEncodeError):
+        # Cells that are not all str, or a text with no UTF-8: the whole column
+        # is formatted, which raises what it raises.
+        _text_column(cells, fmt, {})
+
+
+def _row_blocks(columns: list[_Column], fmt: str) -> Iterator[list[_Column]]:
+    """A table given whole, as blocks of its columns of at most _BLOCK_CELLS cells
+    (and at least one row), in order; at least one block.
+
+    Every column is checked whole first, in table order, with each real
+    column converted to float64: the first column that cannot be written
+    raises before any block is rendered, whatever the block it fails in.
+    """
+    checked = []
+    for col in columns:
+        if col.real:
+            col = col._replace(cells=np.asarray(col.cells, np.float64))
+        else:
+            _check_text(col.cells, fmt)
+        checked.append(col)
+    first = checked[0].cells
+    n = len(first.index if isinstance(first, _Indexed) else first)
+    size = max(1, _BLOCK_CELLS // len(checked))
+    for lo in range(0, n, size) or range(1):
+        rows = slice(lo, lo + size)
+        yield [
+            col._replace(cells=_Indexed(col.cells.texts, col.cells.index[rows])
+                         if isinstance(col.cells, _Indexed) else col.cells[rows])
+            for col in checked
+        ]
 
 
 def _csv_table(blocks: Iterable[list[_Column]], paper: bool) -> Iterator[bytes]:
@@ -797,7 +848,10 @@ def write_dataset(s: BipolarFuzzySet, fmt: str) -> bytes:
 
     Degrees are written by format_real, with six significant digits, so a
     round trip keeps them to that precision only: 0.123456789 is written
-    as 0.123457.
+    as 0.123457.  Where the rounding carries into a new leading digit,
+    format_real writes seven (0.9999999999999999 is written as 1.000000,
+    and 1.0 as 1.00000), so the round trip of such a degree is not byte-stable.
+    The table is rendered in _row_blocks' blocks of rows.
     """
     _check_format(fmt)
     mu, nu = s.arrays()
@@ -806,9 +860,10 @@ def write_dataset(s: BipolarFuzzySet, fmt: str) -> bytes:
         _Column("mu", mu, True),
         _Column("nu", nu, True),
     ]
+    blocks = _row_blocks(columns, fmt)
     if fmt == "csv":
-        return b"".join(_csv_table([columns], paper=False))
-    return b"".join(_json_records([columns], paper=False, level=0)) + b"\n"
+        return b"".join(_csv_table(blocks, paper=False))
+    return b"".join(_json_records(blocks, paper=False, level=0)) + b"\n"
 
 
 # ---------------------------------------------------------------------------
@@ -868,6 +923,11 @@ def _element_table(
     ]
 
 
+def _pair_table(a, b, values) -> list[_Column]:
+    """The pair table's schema: the ids of each pair's two elements, and its value."""
+    return [_Column("a", a, False), _Column("b", b, False), _Column("value", values, True)]
+
+
 def _metadata_pairs(meta: ReportMetadata) -> list[tuple[str, object]]:
     """The set fields in declaration order; None and () are unset, tuples join with commas."""
     values = [(field.name, getattr(meta, field.name)) for field in fields(meta)]
@@ -880,16 +940,19 @@ def _metadata_pairs(meta: ReportMetadata) -> list[tuple[str, object]]:
 
 def _write_report(meta: ReportMetadata, elements, aggregates, pairs, fmt: str) -> Iterator[bytes]:
     """The one measure report body, in blocks of bytes: metadata, the element table
-    from its columns (ids, penta, classes, measures: _element_table's arguments), the
-    (name, value) aggregates and, unless pairs is None, the pair table from blocks of
-    its columns (a, b, value), at least one block."""
+    from its whole columns (ids, penta, classes, measures: _element_table's
+    arguments), the (name, value) aggregates and, unless pairs is None, the pair table
+    from blocks of its columns (_pair_table's), at least one block.
+
+    Every table is rendered a block of rows at a time: the element table in
+    _row_blocks' blocks, which check each whole column in table order before
+    the first block is rendered, and the pair table in the blocks given, so
+    memory does not grow with either table.
+    """
     paper = meta.paper_rounding
-    elements = [_element_table(meta, *elements)]
+    elements = _row_blocks(_element_table(meta, *elements), fmt)
     names = [name for name, _ in aggregates]
     values = [value for _, value in aggregates]
-    if pairs is not None:
-        pairs = (list(map(_Column, ("a", "b", "value"), block, (False, False, True)))
-                 for block in pairs)
 
     if fmt == "csv":
         yield _comments(_metadata_pairs(meta))
@@ -897,7 +960,7 @@ def _write_report(meta: ReportMetadata, elements, aggregates, pairs, fmt: str) -
         if aggregates:
             totals = [_Column("aggregate", names, False), _Column("value", values, True)]
             yield b"\n"
-            yield from _csv_table([totals], paper)
+            yield from _csv_table(_row_blocks(totals, fmt), paper)
         if pairs is not None:
             yield b"\n"
             yield from _csv_table(pairs, paper)
@@ -929,7 +992,9 @@ def write_report(report: MeasureReport, fmt: str) -> bytes:
         measures += [[getattr(row, field)[j] for row in rows] for j in range(len(kinds))]
     names = ("element_id", *PentaArrays._fields, "value_class")
     ids, *penta, classes = (list(map(attrgetter(name), rows)) for name in names)
-    pairs = None if report.similarity is None else [list(zip(*report.similarity)) or [()] * 3]
+    pairs = None
+    if report.similarity is not None:
+        pairs = _row_blocks(_pair_table(*(list(zip(*report.similarity)) or [()] * 3)), fmt)
     elements = (ids, penta, classes, measures)
     return b"".join(_write_report(meta, elements, report.aggregates, pairs, fmt))
 
@@ -953,8 +1018,8 @@ def write_audit(report: AuditReport, fmt: str, sample=()) -> bytes:
     cells = list(zip(*rows)) or [()] * len(_AUDIT_FIELDS)
     table = list(map(_Column, _AUDIT_FIELDS, cells, repeat(False)))
     if fmt == "csv":
-        return _comments(head) + b"".join(_csv_table([table], paper=False))
+        return _comments(head) + b"".join(_csv_table(_row_blocks(table, fmt), paper=False))
     head.append(("overall", verdict[report.passed]))
     members = [(key, _nested_json(value)) for key, value in head]
-    members.append(("axioms", _json_records([table], paper=False, level=1)))
+    members.append(("axioms", _json_records(_row_blocks(table, fmt), paper=False, level=1)))
     return b"".join(_json_object(members))

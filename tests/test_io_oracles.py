@@ -11,10 +11,14 @@ reference writers' bytes, and read_dataset must read write_dataset's
 back.  The byte tokenizer must read what csv.reader reads, and a
 table's rows must render alike whole or in blocks.  The CLI's pair table,
 written in row blocks with its ids gathered from the formatted universe,
-must be write_report's bytes for the same pairs.
+must be write_report's bytes for the same pairs.  Element and dataset
+tables, cut into blocks of rows, must write the reference bytes at every
+count of rows around the block size, and the first column that cannot be
+written must raise first, whatever its block.
 """
 
 import csv
+import dataclasses
 import io
 import json
 import tempfile
@@ -22,29 +26,34 @@ from pathlib import Path
 from unittest import mock
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from pentafuzz import BipolarFuzzySet, BipolarValue, DatasetError, __version__, dataio, metrics
+from pentafuzz import (
+    BipolarFuzzySet, BipolarValue, DatasetError, ValidationError, __version__, dataio, metrics
+)
 from pentafuzz.cli import main
 from pentafuzz.dataio import (
     ElementRow,
     MeasureReport,
     ReportMetadata,
     _Column,
+    _Indexed,
     _byte_fields,
     _csv_texts,
     _lines,
     _real_cells,
     _table_rows,
     _text_cells,
+    _write_report,
     format_real,
     read_dataset,
     write_audit,
     write_dataset,
     write_report,
 )
-from pentafuzz.kernel import classify, decompose
+from pentafuzz.kernel import PentaArrays, classify, decompose
 from pentafuzz.measures import AuditReport, AxiomResult
 from pentafuzz.metrics import DistanceKind, pairwise_matrix
 from reference_io import (
@@ -543,7 +552,7 @@ def test_texts_near_the_padding_byte_come_through_whole():
 )
 @example(list(zip(PADDING_IDS, MIXED_REALS, MIXED_REALS)) * 3, "csv", False)
 def test_rows_render_alike_in_blocks(rows, fmt, paper):
-    # A pair table is written in blocks of rows: a row's bytes depend on that row only.
+    # Tables are written in blocks of rows: a row's bytes depend on that row only.
     cells = list(map(list, zip(*rows))) or [[], [], []]
     reals = (False, True, True)
     columns = [_Column(name, col, real) for name, col, real in zip("abc", cells, reals)]
@@ -616,3 +625,99 @@ def test_blocked_pair_tables_write_the_tuple_report_bytes(
         got = out.read_bytes()
     s = BipolarFuzzySet((eid, BipolarValue(mu, nu)) for eid, mu, nu in records)
     assert got == write_report(tuple_report(s, command, kind, paper), fmt)
+
+
+# Row blocks.  Element and dataset tables are rendered a block of rows at a
+# time, _BLOCK_CELLS // columns rows per block; the blocked bytes must be the
+# whole table's, at every count of rows around the block boundaries.
+SLOW_REALS = [float("nan"), float("inf"), float("-inf"), 1e300, 0.1234565, 5e-324, 5e-13]
+CLASS_TEXTS = ("fuzzy", "intuitionistic", "paraconsistent")
+ELEMENT_COLUMNS = 13  # id, nine reals, class, one cardinality, one entropy
+
+
+def blocked_report(n, block, paper):
+    """A report of n rows, with long ids (wider than twice the mean) and slow reals
+    on both sides of every block boundary, and fast reals elsewhere."""
+    edges = {r for b in range(0, n + block, block) for r in (b - 1, b) if 0 <= r < n}
+    rows = []
+    for r in range(n):
+        eid = f"{LONG_ID}{r}" if r in edges else f"e{r}"
+        reals = [(r % 97) / 97 - 0.25 * (r % 3) for _ in range(11)]
+        if r in edges or r % 5 == 0:
+            for j in range(11):
+                reals[j] = SLOW_REALS[(r + j) % len(SLOW_REALS)]
+        rows.append(ElementRow(eid, *reals[:9], CLASS_TEXTS[r % 3], (reals[9],), (reals[10],)))
+    meta = ReportMetadata(
+        "d", "0.1.0", cardinality_kinds=("pe",), entropy_kinds=("gm",), paper_rounding=paper
+    )
+    return MeasureReport(meta, tuple(rows), (("s", 5e-324),), None)
+
+
+BLOCK = 4  # rows per block, with the cells per block patched to match
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("paper", [False, True])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_blocked_element_tables_write_the_whole_table_bytes(n, paper, fmt):
+    report = blocked_report(n, BLOCK, paper)
+    rows = report.elements
+    # The CLI's route: whole columns, the classes indexed by their code.
+    ids = [row.element_id for row in rows]
+    penta = [[getattr(row, name) for row in rows] for name in PentaArrays._fields]
+    codes = [CLASS_TEXTS.index(row.value_class) for row in rows]
+    classes = _Indexed(CLASS_TEXTS, np.array(codes, np.intp))
+    measures = [[row.cardinalities[0] for row in rows], [row.entropies[0] for row in rows]]
+    expected = reference_write_report(report, fmt)
+    with mock.patch.object(dataio, "_BLOCK_CELLS", BLOCK * ELEMENT_COLUMNS):
+        table = dataio._element_table(report.metadata, ids, penta, classes, measures)
+        assert len(table) == ELEMENT_COLUMNS
+        assert len(list(dataio._row_blocks(table, fmt))) == max(1, -(-n // BLOCK))
+        assert write_report(report, fmt) == expected
+        blocks = _write_report(report.metadata, (ids, penta, classes, measures),
+                               report.aggregates, None, fmt)
+        assert b"".join(blocks) == expected
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_blocked_dataset_tables_write_the_whole_table_bytes(n, fmt):
+    # Degrees in [0, 1] that take format_real's own text: below 1e-4, a repr
+    # tie, and a carry to a new leading digit.
+    slow = [5e-324, 1e-5, 0.1234565, 0.9999999999999999]
+    ids = [f"{LONG_ID}{r}" if r % BLOCK in (0, BLOCK - 1) else f"e{r}" for r in range(n)]
+    s = BipolarFuzzySet(
+        (eid, BipolarValue(slow[r % 4] if r % 2 else r / (n + 1), slow[(r + 1) % 4]))
+        for r, eid in enumerate(ids)
+    )
+    with mock.patch.object(dataio, "_BLOCK_CELLS", BLOCK * 3):  # id, mu, nu
+        assert write_dataset(s, fmt) == reference_write_dataset(s, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_tables_at_the_real_block_size_write_the_whole_table_bytes(fmt):
+    block = dataio._BLOCK_CELLS // ELEMENT_COLUMNS
+    report = blocked_report(2 * block + 1, block, paper=False)
+    assert write_report(report, fmt) == reference_write_report(report, fmt)
+    n = 2 * (dataio._BLOCK_CELLS // 3) + 1
+    s = BipolarFuzzySet((f"e{r}", BipolarValue(r / n, 0.5)) for r in range(n))
+    assert write_dataset(s, fmt) == reference_write_dataset(s, fmt)
+
+
+@pytest.mark.parametrize("late", ["class", "card"])
+def test_the_first_unwritable_column_raises_whatever_its_block(late):
+    # Row 10, in the first block, cannot be written in a later column; a row
+    # of the second block cannot be written in the id column, which comes
+    # first: the id's error is raised, as when the table was one block.
+    block = dataio._BLOCK_CELLS // 12  # id, nine reals, class, one cardinality
+    bad = block + 10
+    rows = [ElementRow(f"e{r}", *[0.5] * 9, "fuzzy", (0.25,)) for r in range(block + 500)]
+    rows[bad] = dataclasses.replace(rows[bad], element_id=f"e{bad}\ud800")
+    if late == "class":
+        rows[10] = dataclasses.replace(rows[10], value_class="fuzzy\udc00")
+    else:
+        rows[10] = dataclasses.replace(rows[10], cardinalities=("not a number",))
+    report = MeasureReport(ReportMetadata("d", "0.1.0", cardinality_kinds=("pe",)), tuple(rows))
+    with pytest.raises(ValidationError) as err:
+        write_report(report, "csv")
+    assert repr(f"e{bad}\ud800") in str(err.value)
