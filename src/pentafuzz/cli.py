@@ -19,7 +19,7 @@ from typing import Iterable
 from . import __version__
 from .algebra import NORM_PAIRS, BipolarFuzzySet, SetOpKind, set_op
 from .dataio import (
-    ReportMetadata, _Indexed, _pair_table, _write_report, read_dataset, write_audit,
+    ReportMetadata, _Indexed, _pair_blocks, _write_report, read_dataset, write_audit,
     write_dataset,
 )
 from .errors import DatasetError, PentafuzzError, ValidationError
@@ -105,10 +105,7 @@ def _distance(args) -> Iterable[bytes]:
             args.usage_error("--agg applies to the two-set form only")
         elements = _element_columns(_load(args.inputs[0]))
         ids, d = elements[:2]
-        pairs = (
-            _pair_table(_Indexed(ids, j), _Indexed(ids, k), values)
-            for j, k, values in _pairwise_blocks(kind, d, similarity)
-        )
+        pairs = _pair_blocks(ids, _pairwise_blocks(kind, d, similarity), args.format)
         return _report(args, elements, pairs=pairs, distance_kind=args.kind)
     agg = args.agg or Aggregation.MEAN.value
     d = set_distance(kind, *map(_load, args.inputs), Aggregation(agg))

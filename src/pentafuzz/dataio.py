@@ -695,15 +695,8 @@ def _json_texts(cells: Sequence) -> list[str]:
     return list(map(encode_basestring_ascii, cells))
 
 
-def _text_column(cells: Sequence | _Indexed, fmt: str, formatted: dict) -> _Cells:
-    """A text column's cells as CSV fields or JSON values.  An indexed column's texts
-    are formatted once per table: formatted maps id(texts) to (texts, their cells),
-    and holding the texts keeps another object from taking their id."""
-    if isinstance(cells, _Indexed):
-        texts, index = cells
-        if id(texts) not in formatted:
-            formatted[id(texts)] = texts, _text_column(texts, fmt, formatted)
-        return _take(formatted[id(texts)][1], index)
+def _text_column(cells: Sequence, fmt: str) -> _Cells:
+    """A text column's cells as CSV fields or JSON values."""
     return _text_cells(_json_texts(cells) if fmt == "json" else _csv_texts(cells))
 
 
@@ -716,22 +709,15 @@ def _split(cells: _Cells, parts: int) -> list[_Cells]:
     return [_Cells(cells.chars[j * n : (j + 1) * n], long[j]) for j in range(parts)]
 
 
-def _table_cells(columns: list[_Column], fmt: str, paper: bool, formatted: dict) -> list[_Cells]:
-    """Each column's cells.  The real columns are formatted in one _real_cells call,
-    column after column, so they share one width; a cell's unused bytes are _PAD."""
-    reals = [col.cells for col in columns if col.real]
+def _table_rows(names: Sequence, columns: list, fmt: str, paper: bool, level=0) -> bytes:
+    """The rows of one block of a table's ready columns (_Cells of text, or float64
+    arrays of reals, formatted in one _real_cells call, column after column, so they
+    share one width): CSV lines, or JSON objects laid out as json.dumps(indent=2) at
+    this depth, each followed by a comma.  Each row's bytes depend on that row only."""
+    reals = [col for col in columns if not isinstance(col, _Cells)]
     real_cells = iter(_split(_real_cells(np.stack(reals), paper, fmt == "json"), len(reals))
                       if reals else ())
-    return [next(real_cells) if col.real else _text_column(col.cells, fmt, formatted)
-            for col in columns]
-
-
-def _table_rows(
-    columns: list[_Column], fmt: str, paper: bool, level: int = 0, formatted=None
-) -> bytes:
-    """The table's rows: CSV lines, or JSON objects laid out as json.dumps(indent=2)
-    at this depth, each followed by a comma.  Each row's bytes depend on that row only."""
-    cells = _table_cells(columns, fmt, paper, {} if formatted is None else formatted)
+    cells = [col if isinstance(col, _Cells) else next(real_cells) for col in columns]
     pieces = []
     if fmt == "csv":
         for col in cells:
@@ -740,7 +726,7 @@ def _table_rows(
     else:
         pad = "  " * (level + 1)
         lead = pad + "{\n"
-        for key, col in zip(_json_texts([col.name for col in columns]), cells):
+        for key, col in zip(_json_texts(names), cells):
             pieces += [f"{lead}{pad}  {key}: ".encode("ascii"), col]
             lead = ",\n"
         pieces.append(f"\n{pad}}},\n".encode("ascii"))
@@ -756,65 +742,50 @@ def _table_rows(
 _BLOCK_CELLS = 2**15
 
 
-def _check_text(cells: Sequence | _Indexed, fmt: str) -> None:
-    """Raise what formatting the whole text column raises, if it raises."""
-    if isinstance(cells, _Indexed):
-        cells = cells.texts
-    try:
-        joined = "".join(cells)  # raises TypeError unless every cell is a str
-        if fmt == "csv" and not joined.isascii():
-            joined.encode("utf-8")  # raises for a lone surrogate, which JSON escapes
-    except (TypeError, UnicodeEncodeError):
-        # Cells that are not all str, or a text with no UTF-8: the whole column
-        # is formatted, which raises what it raises.
-        _text_column(cells, fmt, {})
+def _row_blocks(columns: list[_Column], fmt: str) -> Iterator[list]:
+    """A table given whole, as blocks of its ready columns (_table_rows') of at most
+    _BLOCK_CELLS cells (and at least one row), in order; at least one block.
 
-
-def _row_blocks(columns: list[_Column], fmt: str) -> Iterator[list[_Column]]:
-    """A table given whole, as blocks of its columns of at most _BLOCK_CELLS cells
-    (and at least one row), in order; at least one block.
-
-    Every column is checked whole first, in table order, with each real
-    column converted to float64: the first column that cannot be written
-    raises before any block is rendered, whatever the block it fails in.
+    Every column is made ready whole, in table order, before the first block
+    is yielded: a real column is converted to float64, an indexed column's
+    texts are formatted once, and a plain text column is formatted a block at
+    a time, all its blocks.  So no text is formatted twice, and the first
+    column that cannot be written raises first, whatever its block.  A block
+    then only slices ready columns or gathers indexed cells.
     """
-    checked = []
+    first = columns[0].cells
+    n = len(first.index if isinstance(first, _Indexed) else first)
+    size = max(1, _BLOCK_CELLS // len(columns))
+    blocks = [slice(lo, lo + size) for lo in range(0, n, size)] or [slice(0, 0)]
+    ready = []
     for col in columns:
         if col.real:
-            col = col._replace(cells=np.asarray(col.cells, np.float64))
+            reals = np.asarray(col.cells, np.float64)
+            ready.append([reals[rows] for rows in blocks])
+        elif isinstance(col.cells, _Indexed):
+            texts, index = col.cells
+            # Gathered block by block, as the blocks are taken.
+            cells = _text_column(texts, fmt)
+            ready.append(map(_take, repeat(cells), [index[rows] for rows in blocks]))
         else:
-            _check_text(col.cells, fmt)
-        checked.append(col)
-    first = checked[0].cells
-    n = len(first.index if isinstance(first, _Indexed) else first)
-    size = max(1, _BLOCK_CELLS // len(checked))
-    for lo in range(0, n, size) or range(1):
-        rows = slice(lo, lo + size)
-        yield [
-            col._replace(cells=_Indexed(col.cells.texts, col.cells.index[rows])
-                         if isinstance(col.cells, _Indexed) else col.cells[rows])
-            for col in checked
-        ]
+            ready.append([_text_column(col.cells[rows], fmt) for rows in blocks])
+    yield from map(list, zip(*ready))
 
 
-def _csv_table(blocks: Iterable[list[_Column]], paper: bool) -> Iterator[bytes]:
-    """The header line, then the rows of each block of the table's columns in turn,
-    each line ending in a newline.  The first of the blocks, which must be at least
-    one, names the columns."""
-    formatted: dict = {}
-    for n, columns in enumerate(blocks):
-        if n == 0:
-            yield _utf8(",".join(_csv_texts([col.name for col in columns])) + "\n")
-        yield _table_rows(columns, "csv", paper, formatted=formatted)
+def _csv_table(names: Sequence, blocks: Iterable, paper: bool) -> Iterator[bytes]:
+    """The header line, then the rows of each block of the table's ready columns in
+    turn, each line ending in a newline."""
+    yield _utf8(",".join(_csv_texts(names)) + "\n")
+    for columns in blocks:
+        yield _table_rows(names, columns, "csv", paper)
 
 
-def _json_records(blocks: Iterable[list[_Column]], paper: bool, level: int) -> Iterator[bytes]:
-    """The rows of each block of the table's columns in turn, as one JSON array of
-    objects laid out as json.dumps(indent=2) at this depth."""
-    formatted: dict = {}
+def _json_records(names: Sequence, blocks: Iterable, paper: bool, level: int) -> Iterator[bytes]:
+    """The rows of each block of the table's ready columns in turn, as one JSON array
+    of objects laid out as json.dumps(indent=2) at this depth."""
     lead = b"[\n"
     for columns in blocks:
-        rows = _table_rows(columns, "json", paper, level, formatted=formatted)
+        rows = _table_rows(names, columns, "json", paper, level)
         if rows:
             # A block's last comma goes before the next block's rows, or is dropped.
             yield lead + rows[:-2]
@@ -838,9 +809,14 @@ def _json_object(members: list[tuple[str, bytes | Iterable[bytes]]]) -> Iterator
     yield b"\n}\n"
 
 
+_LINE_ENDS = str.maketrans({"\n": "\\n", "\r": "\\r"})
+
+
 def _comments(pairs: list[tuple[str, object]]) -> bytes:
-    """The '# key=value' lines a CSV report opens with."""
-    return b"".join(_utf8(f"# {key}={value}\n") for key, value in pairs)
+    """The '# key=value' lines a CSV report opens with; a line end in a value is
+    written as its escape, \\n or \\r, so that each pair keeps its line."""
+    lines = (f"# {key}={str(value).translate(_LINE_ENDS)}\n" for key, value in pairs)
+    return b"".join(map(_utf8, lines))
 
 
 def write_dataset(s: BipolarFuzzySet, fmt: str) -> bytes:
@@ -854,16 +830,12 @@ def write_dataset(s: BipolarFuzzySet, fmt: str) -> bytes:
     The table is rendered in _row_blocks' blocks of rows.
     """
     _check_format(fmt)
-    mu, nu = s.arrays()
-    columns = [
-        _Column("id", s.universe, False),
-        _Column("mu", mu, True),
-        _Column("nu", nu, True),
-    ]
-    blocks = _row_blocks(columns, fmt)
+    names = ("id", "mu", "nu")
+    columns = map(_Column, names, (s.universe, *s.arrays()), (False, True, True))
+    blocks = _row_blocks(list(columns), fmt)
     if fmt == "csv":
-        return b"".join(_csv_table(blocks, paper=False))
-    return b"".join(_json_records(blocks, paper=False, level=0)) + b"\n"
+        return b"".join(_csv_table(names, blocks, paper=False))
+    return b"".join(_json_records(names, blocks, paper=False, level=0)) + b"\n"
 
 
 # ---------------------------------------------------------------------------
@@ -923,9 +895,17 @@ def _element_table(
     ]
 
 
-def _pair_table(a, b, values) -> list[_Column]:
-    """The pair table's schema: the ids of each pair's two elements, and its value."""
-    return [_Column("a", a, False), _Column("b", b, False), _Column("value", values, True)]
+# The pair table's columns: the ids of each pair's two elements, and its value.
+_PAIR_NAMES = ("a", "b", "value")
+
+
+def _pair_blocks(ids: Sequence[str], blocks, fmt: str) -> Iterator[list]:
+    """The pair table of a set with these ids, as blocks of ready columns, from blocks
+    (j, k, values) of its pairs by universe position such as metrics._pairwise_blocks
+    yields: the ids are formatted once, and each block gathers its a and b cells."""
+    cells = _text_column(ids, fmt)
+    for j, k, values in blocks:
+        yield [_take(cells, j), _take(cells, k), values]
 
 
 def _metadata_pairs(meta: ReportMetadata) -> list[tuple[str, object]]:
@@ -942,37 +922,38 @@ def _write_report(meta: ReportMetadata, elements, aggregates, pairs, fmt: str) -
     """The one measure report body, in blocks of bytes: metadata, the element table
     from its whole columns (ids, penta, classes, measures: _element_table's
     arguments), the (name, value) aggregates and, unless pairs is None, the pair table
-    from blocks of its columns (_pair_table's), at least one block.
+    (_PAIR_NAMES) from blocks of its ready columns, such as _pair_blocks yields, at
+    least one block.
 
-    Every table is rendered a block of rows at a time: the element table in
-    _row_blocks' blocks, which check each whole column in table order before
-    the first block is rendered, and the pair table in the blocks given, so
-    memory does not grow with either table.
+    Every table is rendered a block of rows at a time, so memory does not
+    grow with either table: the element table in _row_blocks' blocks, each
+    text formatted once before the first, and the pair table in those given.
     """
     paper = meta.paper_rounding
-    elements = _row_blocks(_element_table(meta, *elements), fmt)
+    table = _element_table(meta, *elements)
+    element_names, elements = [col.name for col in table], _row_blocks(table, fmt)
     names = [name for name, _ in aggregates]
     values = [value for _, value in aggregates]
 
     if fmt == "csv":
         yield _comments(_metadata_pairs(meta))
-        yield from _csv_table(elements, paper)
+        yield from _csv_table(element_names, elements, paper)
         if aggregates:
             totals = [_Column("aggregate", names, False), _Column("value", values, True)]
             yield b"\n"
-            yield from _csv_table(_row_blocks(totals, fmt), paper)
+            yield from _csv_table([col.name for col in totals], _row_blocks(totals, fmt), paper)
         if pairs is not None:
             yield b"\n"
-            yield from _csv_table(pairs, paper)
+            yield from _csv_table(_PAIR_NAMES, pairs, paper)
         return
 
     # A dict: a repeated aggregate name keeps its last value.
     aggregate_doc = dict(zip(names, map(float, format_reals(values, paper=paper))))
     yield from _json_object([
         ("metadata", _nested_json(dict(_metadata_pairs(meta)))),
-        ("elements", _json_records(elements, paper, level=1)),
+        ("elements", _json_records(element_names, elements, paper, level=1)),
         ("aggregates", _nested_json(aggregate_doc)),
-        ("similarity", b"null" if pairs is None else _json_records(pairs, paper, level=1)),
+        ("similarity", b"null" if pairs is None else _json_records(_PAIR_NAMES, pairs, paper, 1)),
     ])
 
 
@@ -994,7 +975,8 @@ def write_report(report: MeasureReport, fmt: str) -> bytes:
     ids, *penta, classes = (list(map(attrgetter(name), rows)) for name in names)
     pairs = None
     if report.similarity is not None:
-        pairs = _row_blocks(_pair_table(*(list(zip(*report.similarity)) or [()] * 3)), fmt)
+        cells = list(zip(*report.similarity)) or [()] * 3
+        pairs = _row_blocks(list(map(_Column, _PAIR_NAMES, cells, (False, False, True))), fmt)
     elements = (ids, penta, classes, measures)
     return b"".join(_write_report(meta, elements, report.aggregates, pairs, fmt))
 
@@ -1016,10 +998,10 @@ def write_audit(report: AuditReport, fmt: str, sample=()) -> bytes:
     if fmt == "csv":
         rows.append(("overall", verdict[report.passed], None, None, None))
     cells = list(zip(*rows)) or [()] * len(_AUDIT_FIELDS)
-    table = list(map(_Column, _AUDIT_FIELDS, cells, repeat(False)))
+    blocks = _row_blocks(list(map(_Column, _AUDIT_FIELDS, cells, repeat(False))), fmt)
     if fmt == "csv":
-        return _comments(head) + b"".join(_csv_table(_row_blocks(table, fmt), paper=False))
+        return _comments(head) + b"".join(_csv_table(_AUDIT_FIELDS, blocks, paper=False))
     head.append(("overall", verdict[report.passed]))
     members = [(key, _nested_json(value)) for key, value in head]
-    members.append(("axioms", _json_records(_row_blocks(table, fmt), paper=False, level=1)))
+    members.append(("axioms", _json_records(_AUDIT_FIELDS, blocks, paper=False, level=1)))
     return b"".join(_json_object(members))

@@ -149,6 +149,12 @@ def _element_header(meta):
     return header
 
 
+def _comment(key, value):
+    # A line end in a value is written as its escape, so the pair keeps its line.
+    value = str(value).replace("\n", "\\n").replace("\r", "\\r")
+    return f"# {key}={value}\n"
+
+
 def reference_write_report(report, fmt):
     paper = report.metadata.paper_rounding
     fmt_num = lambda v: format_real(v, paper=paper)
@@ -156,7 +162,7 @@ def reference_write_report(report, fmt):
     if fmt == "csv":
         out = io.StringIO()
         for key, value in _metadata_pairs(report.metadata):
-            out.write(f"# {key}={value}\n")
+            out.write(_comment(key, value))
         writer = _RowWriter(out)
         writer.writerow(_element_header(report.metadata))
         for row in report.elements:
@@ -217,7 +223,7 @@ def reference_write_report(report, fmt):
 def reference_write_audit(report, fmt):
     if fmt == "csv":
         out = io.StringIO()
-        out.write(f"# kind={report.kind}\n# family={report.family}\n")
+        out.write(_comment("kind", report.kind) + _comment("family", report.family))
         writer = _RowWriter(out)
         writer.writerow(["axiom", "verdict", "checked", "witness", "note"])
         for r in report.results:

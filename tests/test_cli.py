@@ -534,6 +534,21 @@ class TestDiagnosticsAndDeterminism:
         doc = json.loads(capsysbinary.readouterr().out.decode())
         assert doc["metadata"]["dataset"] == "\\xff"
 
+    @pytest.mark.parametrize("stem", ["x\ny", "x\ry", "\r\n"])
+    def test_a_line_end_in_a_file_name_is_escaped_in_the_csv_comments(
+        self, tmp_path, capsysbinary, stem
+    ):
+        path = write(tmp_path, f"{stem}.csv", "id,mu,nu\na,0.8,0.2\n")
+        assert main(["penta", str(path)]) == 0
+        escaped = stem.replace("\n", "\\n").replace("\r", "\\r")
+        head = f"# dataset={escaped}\n# tool_version={pentafuzz.__version__}\n"
+        head += "# paper_rounding=False\n"
+        header = "id,mu,nu,t,f,u,c,i,tau,omega,class\n"
+        assert capsysbinary.readouterr().out.decode().startswith(head + header)
+        assert main(["penta", "--format", "json", str(path)]) == 0
+        doc = json.loads(capsysbinary.readouterr().out.decode())
+        assert doc["metadata"]["dataset"] == stem
+
 
 class TestModuleEntryPoint:
     """``python -m pentafuzz`` writes the bytes cli.main writes, for every subcommand."""

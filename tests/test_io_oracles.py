@@ -5,16 +5,18 @@ rows to name the first bad one.  On every input drawn here, valid or
 mutated, it must return the set the reference reader returns (same ids,
 same degree bits) or raise a DatasetError with the same message.
 
-write_report, write_dataset and write_audit format whole columns at once
-and lay out CSV and JSON from one column schema; they must write the
-reference writers' bytes, and read_dataset must read write_dataset's
-back.  The byte tokenizer must read what csv.reader reads, and a
-table's rows must render alike whole or in blocks.  The CLI's pair table,
-written in row blocks with its ids gathered from the formatted universe,
-must be write_report's bytes for the same pairs.  Element and dataset
-tables, cut into blocks of rows, must write the reference bytes at every
-count of rows around the block size, and the first column that cannot be
-written must raise first, whatever its block.
+write_report, write_dataset and write_audit lay out CSV and JSON from one
+column schema; they must write the reference writers' bytes, and
+read_dataset must read write_dataset's back.  The byte tokenizer must
+read what csv.reader reads, and a table's rows must render alike whole
+or in blocks.  Each text column is formatted once per table, before its
+first block, and blocks only slice or gather its cells: a spy counts the
+calls.  The CLI's pair table, written in row blocks with its ids gathered
+from the universe formatted once, must be write_report's bytes for the
+same pairs.  Element and dataset tables, cut into blocks of rows, must
+write the reference bytes at every count of rows around the block size,
+and the first column that cannot be written must raise first, whatever
+its block, in element and pair tables alike.
 """
 
 import csv
@@ -44,8 +46,10 @@ from pentafuzz.dataio import (
     _csv_texts,
     _lines,
     _real_cells,
+    _row_blocks,
     _table_rows,
     _text_cells,
+    _text_column,
     _write_report,
     format_real,
     read_dataset,
@@ -555,14 +559,15 @@ def test_rows_render_alike_in_blocks(rows, fmt, paper):
     # Tables are written in blocks of rows: a row's bytes depend on that row only.
     cells = list(map(list, zip(*rows))) or [[], [], []]
     reals = (False, True, True)
-    columns = [_Column(name, col, real) for name, col, real in zip("abc", cells, reals)]
-    whole = _table_rows(columns, fmt, paper)
+    names = list("abc")
+    columns = [_Column(name, col, real) for name, col, real in zip(names, cells, reals)]
+    ready = [_text_column(cells[0], fmt), *np.asarray(cells[1:], np.float64)]
+    whole = _table_rows(names, ready, fmt, paper)
     for size in (1, 7, max(len(rows), 1)):
-        blocks = [
-            [col._replace(cells=col.cells[k : k + size]) for col in columns]
-            for k in range(0, len(rows), size)
-        ]
-        assert b"".join(_table_rows(block, fmt, paper) for block in blocks) == whole
+        with mock.patch.object(dataio, "_BLOCK_CELLS", 3 * size):
+            blocks = list(_row_blocks(columns, fmt))
+        assert len(blocks) == max(1, -(-len(rows) // size))
+        assert b"".join(_table_rows(names, block, fmt, paper) for block in blocks) == whole
 
 
 @st.composite
@@ -625,6 +630,41 @@ def test_blocked_pair_tables_write_the_tuple_report_bytes(
         got = out.read_bytes()
     s = BipolarFuzzySet((eid, BipolarValue(mu, nu)) for eid, mu, nu in records)
     assert got == write_report(tuple_report(s, command, kind, paper), fmt)
+
+
+def spy(name):
+    """A patch that wraps the named dataio function in a mock recording its calls."""
+    return mock.patch.object(dataio, name, wraps=getattr(dataio, name))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_every_audit_column_is_formatted_once(fmt):
+    # Five columns, three of them not all str, and the header or the keys: six
+    # calls to the format's text function, and none to the other's.
+    results = (AxiomResult("A1", True, 10, None, "n"), AxiomResult("A2", False, 3, "w", None))
+    report = AuditReport("pe", "card", results)
+    with spy("_csv_texts") as csv_texts, spy("_json_texts") as json_texts:
+        assert write_audit(report, fmt) == reference_write_audit(report, fmt)
+    used, unused = (csv_texts, json_texts) if fmt == "csv" else (json_texts, csv_texts)
+    assert used.call_count == 6
+    assert unused.call_count == 0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_the_cli_pair_table_formats_the_universe_once(fmt, tmp_path):
+    # Several blocks of pairs; the ids are formatted for the element table's
+    # id column and once for the pair table, whatever the count of blocks.
+    s = BipolarFuzzySet((eid, BipolarValue(mu, nu)) for eid, mu, nu in SEVEN)
+    path, out = tmp_path / "data.json", tmp_path / "report"
+    path.write_text(json.dumps([{"id": eid, "mu": mu, "nu": nu} for eid, mu, nu in SEVEN]))
+    kind = DistanceKind.PSEUDO_EUCLID
+    with spy("_json_texts" if fmt == "json" else "_csv_texts") as texts, \
+            mock.patch.object(metrics, "_PAIR_BLOCK", 3):
+        assert len(list(metrics._pairwise_blocks(kind, decompose(*s.arrays()), True))) >= 3
+        assert main(["sim", str(path), "--format", fmt, "--out", str(out)]) == 0
+    with_ids = [call for call in texts.call_args_list if "e3" in list(call.args[0])]
+    assert len(with_ids) == 2
+    assert out.read_bytes() == write_report(tuple_report(s, "sim", kind, False), fmt)
 
 
 # Row blocks.  Element and dataset tables are rendered a block of rows at a
@@ -721,3 +761,23 @@ def test_the_first_unwritable_column_raises_whatever_its_block(late):
     with pytest.raises(ValidationError) as err:
         write_report(report, "csv")
     assert repr(f"e{bad}\ud800") in str(err.value)
+
+
+@pytest.mark.parametrize("late", ["b", "value"])
+def test_the_first_unwritable_pair_column_raises_whatever_its_block(late):
+    # Two rows per block.  A row of the first block cannot be written in a
+    # later column (b in row 1, or the value in row 0); row 4, in the third
+    # block, cannot be written in column a, which comes first: a's error is
+    # raised, as for an element table.
+    pairs = [[f"a{r}", f"b{r}", 0.5] for r in range(6)]
+    pairs[4][0] = "a4\ud800"
+    if late == "b":
+        pairs[1][1] = "b1\udc00"
+    else:
+        pairs[0][2] = "not a number"
+    report = MeasureReport(ReportMetadata("d", "0.1.0"), (), (), tuple(map(tuple, pairs)))
+    with mock.patch.object(dataio, "_BLOCK_CELLS", 2 * 3):  # a, b, value
+        assert len(list(_row_blocks([_Column("a", range(6), True)] * 3, "csv"))) == 3
+        with pytest.raises(ValidationError) as err:
+            write_report(report, "csv")
+    assert repr("a4\ud800") in str(err.value)
