@@ -80,10 +80,11 @@ def _element_columns(dataset, card_kinds=(), entropy_kinds=(), vector_norm=Vecto
 def _report(args, elements=(), aggregates=(), pairs=None, **metadata) -> Iterable[bytes]:
     """A measure report on the inputs, named after their stems, in the chosen format,
     in blocks of bytes."""
-    # A stem's bytes that are not UTF-8 are written as backslash escapes, such as \xff.
-    stems = (os.fsencode(path.stem).decode("utf-8", "backslashreplace") for path in args.inputs)
+    # A stem's bytes that are not UTF-8 are written as backslash escapes, such as \xff,
+    # and its own backslashes are doubled, so no escape reads like the stem's text.
+    stems = (os.fsencode(path.stem).replace(b"\\", b"\\\\") for path in args.inputs)
     meta = ReportMetadata(
-        dataset="|".join(stems),
+        dataset="|".join(s.decode("utf-8", "backslashreplace") for s in stems),
         tool_version=__version__,
         paper_rounding=args.paper_rounding,
         **metadata,

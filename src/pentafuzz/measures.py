@@ -178,12 +178,13 @@ def cardinality_point(kind: CardinalityKind, x: BipolarValue) -> float:
 
 
 def _domain(kind: CardinalityKind | EntropyKind, t, f, u, c):
-    """Where the kind is defined: a mask over arrays, a bool for one value."""
+    """Where the kind is defined: a mask over arrays, a bool for one value, and
+    np.True_, a 0-d mask that broadcasts, for a kind defined everywhere."""
     if kind in _CLASSIC:
         return c <= EPSILON
     if kind is EntropyKind.SZMIDT_KACPRZYK_PI:
         return 1.0 - u - c > EPSILON
-    return np.ones(np.shape(t), dtype=bool)
+    return np.True_
 
 
 def cardinality_array(kind: CardinalityKind, d: PentaArrays) -> np.ndarray:
@@ -332,8 +333,11 @@ def _screened(a, b, ok, scaled):
 
     The scale max(1, |a|, |b|) is at least 1, so an entry that passes at
     the flat tolerance passes the scaled test too; only the entries ok
-    rejects are tested again, by scaled(a, b, scale), at their own scale.
+    rejects are tested again, by scaled(a, b, scale), at their own scale,
+    and a screen that passes every entry is returned as it is.
     """
+    if ok.all():
+        return ok
     redo = np.flatnonzero(~ok)
     a, b = a[redo], b[redo]
     ok[redo] = scaled(a, b, np.maximum(1.0, np.maximum(np.abs(a), np.abs(b))))
@@ -348,14 +352,18 @@ def _mixed_close(a, b):
 
 
 def _mixed_le(a, b):
-    """a <= b + EPSILON * max(1, |a|, |b|), elementwise."""
-    # b = -inf goes to the scaled test: there -inf + inf is nan, so (-inf, -inf) fails.
-    ok = (a <= b + EPSILON) & (b > -np.inf)
+    """a <= b + EPSILON * max(1, |a|, |b|), elementwise.  Entries with b = -inf, if
+    any, go to the scaled test, where -inf + inf is nan, so (-inf, -inf) fails."""
+    ok = a <= b + EPSILON
+    low = b == -np.inf
+    if low.any():
+        ok &= ~low
     return _screened(a, b, ok, lambda a, b, scale: a <= b + EPSILON * scale)
 
 
 def _evaluator(kind: CardinalityKind | EntropyKind, vector_norm: VectorNorm):
-    """The audited measure as (t, f, u, c) -> (values, domain mask)."""
+    """The audited measure as (t, f, u, c) -> (values, domain mask), the mask
+    _domain's: np.True_ for a kind defined everywhere."""
     if isinstance(kind, CardinalityKind):
         return lambda *tfuc: (_card_formula(kind, *tfuc), _domain(kind, *tfuc))
     return lambda *tfuc: (_entropy_formula(kind, *tfuc, vector_norm), _domain(kind, *tfuc))
@@ -367,9 +375,9 @@ class _Tally:
     The trials run in order, and the axiom fails at the first trial with a
     masked entry where ok is false, at the first such entry in sample
     order; witness(k) describes entry k of its block.  checked counts the
-    masked entries of every trial run, the failing one included.  Blocks
-    are added in sample order, and each is read only up to the earliest
-    trial that has failed so far.
+    masked entries of every trial run, the failing one included; a 0-d mask
+    (np.True_) masks every entry.  Blocks are added in sample order, and
+    each is read only up to the earliest trial that has failed so far.
     """
 
     def __init__(self, axiom: str):
@@ -381,12 +389,16 @@ class _Tally:
         for j, (mask, ok, witness) in enumerate(trials):
             if j == len(self.counts):
                 self.counts.append(0)
-            self.counts[j] += int(np.count_nonzero(mask))
+            self.counts[j] += int(np.count_nonzero(mask)) if mask.ndim else ok.size
             if self.failure is not None and j == self.failure[0]:
                 return
-            bad = mask & ~ok
-            if bad.any():
-                self.failure = (j, witness(int(np.argmax(bad))))
+            if mask.ndim == 0:  # np.True_ holds every entry
+                k = None if ok.all() else int(np.argmin(ok))
+            else:
+                bad = mask > ok  # mask & ~ok, in one pass
+                k = int(np.argmax(bad)) if bad.any() else None
+            if k is not None:
+                self.failure = (j, witness(k))
                 return
 
     def result(self) -> AxiomResult:
@@ -425,14 +437,17 @@ def _slice_probes(measure, base, on_base, directions):
     t, f, u, c = base
     i = 1.0 - t - f - u - c
     lo, lo_in = on_base
-    partners = {"t": f, "f": t, "u": c, "c": u}
+    partners = {"t": 1, "f": 0, "u": 3, "c": 2}  # positions in base
+    spend = (i > 1e-12) & lo_in  # ambiguity to spend, value in the domain
     # One slice at a time, gathered to the entries its probes can check:
-    # partner zero, ambiguity to spend, value in the domain.
+    # partner zero (+0.0, as penta_arrays makes it) and spend.
     for comp, direction in directions.items():
-        at = np.flatnonzero((partners[comp] == 0.0) & (i > 1e-12) & lo_in)
-        start, lo_at, i_at = [x[at] for x in base], lo[at], i[at]
-        for frac in (0.5, 1.0):
-            yield _probe(measure, start, lo_at, comp, direction, frac * i_at)
+        p = partners[comp]
+        at = np.flatnonzero((base[p] == 0.0) & spend)
+        lo_at, i_at = lo[at], i[at]
+        start = [np.zeros(at.size) if n == p else x[at] for n, x in enumerate(base)]
+        yield _probe(measure, start, lo_at, comp, direction, 0.5 * i_at)
+        yield _probe(measure, start, lo_at, comp, direction, i_at)
 
 
 def _slice_probe_result(tally: _Tally, directions) -> AxiomResult:
@@ -470,10 +485,11 @@ def _containment_trials(measure, mu, nu, on_base, growth):
     # The classic kinds: only pairs that start in the domain count.
     at = slice(None) if small_in.all() else np.flatnonzero(small_in)
     mu, nu, small = mu[at], nu[at], small[at]
+    room = 1.0 - mu
     for a, b in _GROWTH_STEPS:
-        yield _grown(measure, mu, nu, small, mu + a * (1.0 - mu), b * nu)
+        yield _grown(measure, mu, nu, small, mu + a * room, b * nu)
     alphas, betas = (x[at] for x in growth())
-    yield _grown(measure, mu, nu, small, mu + alphas * (1.0 - mu), betas * nu)
+    yield _grown(measure, mu, nu, small, mu + alphas * room, betas * nu)
 
 
 def _grown(measure, mu, nu, small, mu1, nu1):
@@ -672,6 +688,7 @@ def axiom_audit(
     np.empty(16 * _BLOCK)  # raises glibc's trim threshold; see _BLOCK
     with np.errstate(divide="ignore", invalid="ignore"):
         lm_values, lm_in = measure(*penta_arrays(_LM_MU, _LM_NU))
+        lm_in = np.broadcast_to(lm_in, lm_values.shape)
         landmarks = dict(zip(_LM_MU_NU, zip(lm_values.tolist(), lm_in.tolist())))
         for lo in range(0, sample.size, _BLOCK):
             hi = min(lo + _BLOCK, sample.size)

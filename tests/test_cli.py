@@ -549,6 +549,24 @@ class TestDiagnosticsAndDeterminism:
         doc = json.loads(capsysbinary.readouterr().out.decode())
         assert doc["metadata"]["dataset"] == stem
 
+    def test_a_backslash_in_a_file_name_does_not_read_as_an_escape(self, tmp_path, capsysbinary):
+        # A non-UTF-8 byte and a line end are written as escapes; stems that
+        # spell those escapes out with a literal backslash must not match them.
+        stems = [b"x\xff", b"x\\xff", b"x\ny", b"x\\ny"]
+        csv, js = set(), set()
+        for k, stem in enumerate(stems):
+            folder = tmp_path / str(k)
+            folder.mkdir()
+            path = folder / os.fsdecode(stem + b".csv")
+            path.write_text("id,mu,nu\na,0.8,0.2\n")
+            assert main(["penta", str(path)]) == 0
+            csv.add(capsysbinary.readouterr().out.split(b"\n", 1)[0])
+            assert main(["penta", "--format", "json", str(path)]) == 0
+            js.add(json.loads(capsysbinary.readouterr().out.decode())["metadata"]["dataset"])
+        assert csv == {b"# dataset=x\\xff", b"# dataset=x\\\\xff", b"# dataset=x\\ny",
+                       b"# dataset=x\\\\ny"}
+        assert js == {"x\\xff", "x\\\\xff", "x\ny", "x\\\\ny"}
+
 
 class TestModuleEntryPoint:
     """``python -m pentafuzz`` writes the bytes cli.main writes, for every subcommand."""

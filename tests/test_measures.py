@@ -455,7 +455,7 @@ class TestAxiomAudit:
         # must not read it there either.  The audit evaluates with numpy's
         # division warnings silenced, and so does this test.
         with np.errstate(divide="ignore", invalid="ignore"):
-            _, domain = _evaluator(kind, VectorNorm.MAX)(
+            values, domain = _evaluator(kind, VectorNorm.MAX)(
                 *penta_arrays(np.array([mu]), np.array([nu]))
             )
         point = cardinality_point if isinstance(kind, CardinalityKind) else entropy_point
@@ -464,7 +464,8 @@ class TestAxiomAudit:
             defined = True
         except (UndefinedValueError, ValidationError):
             defined = False
-        assert bool(domain[0]) is defined
+        # A kind defined everywhere carries a 0-d mask.
+        assert bool(np.broadcast_to(domain, values.shape)[0]) is defined
 
     def test_report_is_deterministic(self):
         a = axiom_audit(EntropyKind.FROM_PE, **AUDIT_ARGS)
@@ -637,16 +638,28 @@ class TestBlockedAudit:
         reason="the heap trim the audit guards against is glibc's; other allocators "
         "keep or return freed memory by rules of their own, so no fault bound holds there",
     )
-    def test_a_repeated_audit_takes_no_page_faults(self):
+    @pytest.mark.parametrize(
+        "kind",
+        # A 0-d domain mask with containment steps, one without them, and
+        # array masks with and without containment steps.
+        [
+            CardinalityKind.FROM_PE,
+            EntropyKind.FROM_PE,
+            EntropyKind.SZMIDT_KACPRZYK_PI,
+            CardinalityKind.CLASSIC_MIN,
+        ],
+    )
+    def test_a_repeated_audit_takes_no_page_faults(self, kind):
         # The fault count depends on the process's allocation history, so the
         # audit runs in a fresh interpreter.  The first call warms the heap;
         # a trimmed heap faulted about 3,200 pages back in on the second.
+        # A block whose live arrays outgrow the 4 MiB trim threshold would fault again.
         code = (
             "import resource\n"
-            "from pentafuzz.measures import CardinalityKind, axiom_audit\n"
-            "axiom_audit(CardinalityKind.FROM_PE)\n"
+            "from pentafuzz.measures import CardinalityKind, EntropyKind, axiom_audit\n"
+            f"axiom_audit({kind})\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-            "axiom_audit(CardinalityKind.FROM_PE)\n"
+            f"axiom_audit({kind})\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(measures.__file__).parents[1])}
@@ -703,6 +716,67 @@ class TestScreenedComparisons:
         a = np.array([-math.inf])
         with np.errstate(invalid="ignore"):
             assert not _mixed_le(a, a)[0]
+
+
+def _trials(block: int, specs, read: list | None = None):
+    """Hand-made (mask, ok, witness) trials of one block, recording in read
+    the (block, trial) of each trial as it is made.
+
+    A spec's mask is True (the 0-d mask np.True_) or a list of bools; ok is a list.
+    witness(k) names the block, the trial and the entry k.
+    """
+    for j, (mask, ok) in enumerate(specs):
+        if read is not None:
+            read.append((block, j))
+        mask = np.True_ if mask is True else np.array(mask, dtype=bool)
+        yield mask, np.array(ok, dtype=bool), lambda k, j=j: f"block {block} trial {j} entry {k}"
+
+
+class TestTally:
+    """_Tally's verdict, witness and checked count over blocks of hand-made trials."""
+
+    def test_a_passing_axiom_checks_every_masked_entry_of_every_block(self):
+        tally = measures._Tally("x")
+        # A 0-d mask covers every entry of its trial; an array mask only its
+        # True entries, and a False entry's ok is never read.
+        tally.add(_trials(0, [(True, [1, 1, 1]), ([1, 0, 1], [1, 0, 1])]))
+        tally.add(_trials(1, [(True, [1, 1]), ([0, 0], [0, 0])]))
+        assert tally.result() == measures.AxiomResult("x", True, 3 + 2 + 2 + 0)
+
+    @pytest.mark.parametrize(
+        "mask, ok, k",
+        [(True, [1, 1, 0, 1, 0], 2), ([1, 0, 1, 1, 1], [1, 0, 1, 0, 0], 3), ([0, 1], [0, 0], 1)],
+    )
+    def test_the_witness_is_the_first_masked_entry_that_fails(self, mask, ok, k):
+        tally = measures._Tally("x")
+        tally.add(_trials(0, [(mask, ok)]))
+        result = tally.result()
+        assert not result.passed
+        assert result.witness == f"block 0 trial 0 entry {k}"
+        assert result.checked == (len(ok) if mask is True else sum(mask))
+
+    def test_the_earliest_failing_trial_wins_and_keeps_its_first_witness(self):
+        tally, read = measures._Tally("x"), []
+        # Block 0 fails at trial 2, block 1 at trial 1 (the earliest over all
+        # blocks), block 2 at trial 1 as well, block 3 not at all.
+        tally.add(_trials(0, [(True, [1, 1]), ([1, 1, 0], [1, 1, 0]), (True, [0])], read))
+        tally.add(_trials(1, [([1, 1, 1], [1, 1, 1]), (True, [1, 0]), (True, [0])], read))
+        tally.add(_trials(2, [(True, [1, 1, 1, 1]), ([0, 1], [1, 0]), (True, [0])], read))
+        tally.add(_trials(3, [(True, [1]), (True, [1, 1, 1]), (True, [0])], read))
+        result = tally.result()
+        assert (result.passed, result.witness) == (False, "block 1 trial 1 entry 1")
+        # Trials 0 and 1 of every block, failing ones included; block 0's trial 2 is not counted.
+        assert result.checked == (2 + 2) + (3 + 2) + (4 + 1) + (1 + 3)
+        # Once trial 1 has failed, no block reads a trial after it.
+        assert read == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1)]
+
+    def test_no_trial_after_a_failing_one_is_read(self):
+        tally, read = measures._Tally("x"), []
+        tally.add(_trials(0, [(True, [1, 0]), ([1, 0], [0, 1])], read))
+        tally.add(_trials(1, [(True, [1, 1]), (True, [0])], read))
+        result = tally.result()
+        assert (result.witness, result.checked) == ("block 0 trial 0 entry 1", 2 + 2)
+        assert read == [(0, 0), (1, 0)]
 
 
 class TestScalarAxiomSpotChecks:
