@@ -29,8 +29,8 @@ from .measures import (
     EntropyKind,
     VectorNorm,
     _border_cardinality,
-    _cardinality_sum,
     _entropy_mean,
+    _sum,
     audit_sample,
     axiom_audit,
     cardinality_array,
@@ -81,8 +81,10 @@ def _report(args, elements=(), aggregates=(), pairs=None, **metadata) -> Iterabl
     """A measure report on the inputs, named after their stems, in the chosen format,
     in blocks of bytes."""
     # A stem's bytes that are not UTF-8 are written as backslash escapes, such as \xff,
-    # and its own backslashes are doubled, so no escape reads like the stem's text.
-    stems = (os.fsencode(path.stem).replace(b"\\", b"\\\\") for path in args.inputs)
+    # its own backslashes are doubled, so no escape reads like the stem's text, and
+    # its | is written \x7c, so the joined value splits back into its stems.
+    stems = (os.fsencode(path.stem).replace(b"\\", b"\\\\").replace(b"|", b"\\x7c")
+             for path in args.inputs)
     meta = ReportMetadata(
         dataset="|".join(s.decode("utf-8", "backslashreplace") for s in stems),
         tool_version=__version__,
@@ -117,10 +119,10 @@ def _distance(args) -> Iterable[bytes]:
 def _card(args) -> Iterable[bytes]:
     kind = CardinalityKind(args.kind)
     elements = _element_columns(_load(args.inputs[0]), card_kinds=(kind,))
-    d = elements[1]
+    own = _sum(elements[3][0])
     aggregates = (
-        ("set_cardinality", _cardinality_sum(kind, d)),
-        ("border_cardinality", _border_cardinality(kind, d)),
+        ("set_cardinality", own),
+        ("border_cardinality", _border_cardinality(kind, elements[1], own)),
     )
     return _report(args, elements, aggregates, cardinality_kinds=(args.kind,))
 
@@ -135,7 +137,7 @@ def _vector_norm(args) -> VectorNorm:
 def _entropy(args) -> Iterable[bytes]:
     kind, norm = EntropyKind(args.kind), _vector_norm(args)
     elements = _element_columns(_load(args.inputs[0]), entropy_kinds=(kind,), vector_norm=norm)
-    aggregates = (("set_entropy", _entropy_mean(kind, elements[1], norm)),)
+    aggregates = (("set_entropy", _entropy_mean(elements[3][0])),)
     return _report(args, elements, aggregates, entropy_kinds=(args.kind,))
 
 

@@ -208,23 +208,19 @@ def _sum(values: np.ndarray) -> float:
 
 def cardinality_set(kind: CardinalityKind, a: algebra.BipolarFuzzySet) -> float:
     """Sum of pointwise cardinalities; lies in [0, card(universe)]."""
-    return _cardinality_sum(kind, decompose(*a.arrays()))
-
-
-def _cardinality_sum(kind: CardinalityKind, d: PentaArrays) -> float:
-    return _sum(cardinality_array(kind, d))
+    return _sum(cardinality_array(kind, decompose(*a.arrays())))
 
 
 def border_cardinality(kind: CardinalityKind, a: algebra.BipolarFuzzySet) -> float:
     """Mass between a set and its complement: card(X) - n(A) - n(A^c)."""
-    return _border_cardinality(kind, decompose(*a.arrays()))
+    d = decompose(*a.arrays())
+    return _border_cardinality(kind, d, _sum(cardinality_array(kind, d)))
 
 
-def _border_cardinality(kind: CardinalityKind, d: PentaArrays) -> float:
-    own = _cardinality_sum(kind, d)
-    # The complement (nu, mu), decomposed from the swapped degrees exactly
-    # as to_penta decomposes each complemented value.
-    return len(d.mu) - own - _cardinality_sum(kind, decompose(d.nu, d.mu))
+def _border_cardinality(kind: CardinalityKind, d: PentaArrays, own: float) -> float:
+    # own is d's set cardinality. The complement (nu, mu) is decomposed from
+    # the swapped degrees exactly as to_penta decomposes each complemented value.
+    return len(d.mu) - own - _sum(cardinality_array(kind, decompose(d.nu, d.mu)))
 
 
 def entropy_point(
@@ -273,13 +269,13 @@ def entropy_set(
     vector_norm: VectorNorm = VectorNorm.MAX,
 ) -> float:
     """Mean of pointwise scalar entropies over a nonempty universe."""
-    return _entropy_mean(kind, decompose(*a.arrays()), vector_norm)
+    return _entropy_mean(entropy_array(kind, decompose(*a.arrays()), vector_norm))
 
 
-def _entropy_mean(kind: EntropyKind, d: PentaArrays, vector_norm: VectorNorm) -> float:
-    if len(d.mu) == 0:
+def _entropy_mean(values: np.ndarray) -> float:
+    if len(values) == 0:
         raise ValidationError("set entropy over an empty universe is undefined")
-    return _sum(entropy_array(kind, d, vector_norm)) / len(d.mu)
+    return _sum(values) / len(values)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from unittest import mock
 import pytest
 
 import pentafuzz
-from pentafuzz import kernel
+from pentafuzz import cli, kernel, measures
 from pentafuzz.algebra import NORM_PAIRS, SetOpKind
 from pentafuzz.cli import _build_parser, main
 from pentafuzz.dataio import format_real, read_dataset
@@ -101,9 +101,15 @@ class TestSimAndDist:
         ],
     )
     def test_card_and_entropy_decompose_the_set_once(self, p1_pair, argv, calls, capsysbinary):
-        with mock.patch.object(kernel, "penta_arrays", wraps=kernel.penta_arrays) as spy:
+        # The measure column is computed as often as the set is decomposed:
+        # the aggregates reuse the element table's column.
+        name = "cardinality_array" if argv[0] == "card" else "entropy_array"
+        measure = mock.Mock(wraps=getattr(measures, name))
+        with mock.patch.object(kernel, "penta_arrays", wraps=kernel.penta_arrays) as spy, \
+                mock.patch.object(measures, name, measure), mock.patch.object(cli, name, measure):
             assert main([*argv, str(p1_pair)]) == 0
         assert spy.call_count == calls
+        assert measure.call_count == calls
         # The aggregates are still the public set measures' values.
         s = read_dataset(io.BytesIO(p1_pair.read_bytes()), "csv")
         kind = argv[2]
@@ -566,6 +572,24 @@ class TestDiagnosticsAndDeterminism:
         assert csv == {b"# dataset=x\\xff", b"# dataset=x\\\\xff", b"# dataset=x\\ny",
                        b"# dataset=x\\\\ny"}
         assert js == {"x\\xff", "x\\\\xff", "x\ny", "x\\\\ny"}
+
+    def test_a_bar_in_a_file_name_does_not_read_as_a_stem_separator(self, tmp_path, capsysbinary):
+        # Several inputs' stems are joined with |. A | inside a stem is written
+        # \x7c, and a stem that spells \x7c out has its backslash doubled.
+        for name in ("a|b.csv", "a.csv", "b.csv", "a\\x7cb.csv"):
+            (tmp_path / name).write_text("id,mu,nu\ne1,0.8,0.2\n")
+        runs = [
+            (["penta", "a|b.csv"], "a\\x7cb"),
+            (["dist", "a.csv", "b.csv"], "a|b"),
+            (["sim", "--kind", "ph", "a.csv", "b.csv"], "a|b"),
+            (["penta", "a\\x7cb.csv"], "a\\\\x7cb"),
+        ]
+        for argv, dataset in runs:
+            argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+            assert main(argv) == 0
+            assert capsysbinary.readouterr().out.startswith(f"# dataset={dataset}\n".encode())
+            assert main([*argv, "--format", "json"]) == 0
+            assert json.loads(capsysbinary.readouterr().out)["metadata"]["dataset"] == dataset
 
 
 class TestModuleEntryPoint:
