@@ -300,12 +300,11 @@ def penta_arrays(mu: np.ndarray, nu: np.ndarray):
     operand order, so it equals the scalar index bit for bit.  The
     degrees are not checked.
     """
-    return (
-        _pos_array(mu - nu),
-        _pos_array(nu - mu),
-        _pos_array(1.0 - mu - nu),
-        _pos_array(mu + nu - 1.0),
-    )
+    u = 1.0 - mu
+    u -= nu
+    c = mu + nu
+    c -= 1.0
+    return _pos_array(mu - nu), _pos_array(nu - mu), _pos_array(u), _pos_array(c)
 
 
 def raise_first(bad: np.ndarray, scalar: Callable[[int], object]) -> None:

@@ -97,26 +97,46 @@ class EntropyResult:
 
 
 # ---------------------------------------------------------------------------
-# Closed forms.  Each accepts floats or numpy arrays of (t, f, u, c).
+# Closed forms.  Each accepts floats or numpy arrays of (t, f, u, c).  The
+# first operation of an expression makes its result, and every later one
+# updates it in place (n -= f), in the order the expression is written: on
+# arrays that is one new array per result, not one per operation; on floats
+# the augmented assignment rebinds.  No input is written or returned.
 # ---------------------------------------------------------------------------
 
 
 def _card_formula(kind: CardinalityKind, t, f, u, c):
     if kind is CardinalityKind.FROM_PE:
-        a = (1.0 - t + f) / 2.0
-        b = (u - c) / (1.0 + u + c)
-        return 1.0 - np.sqrt(a * a + b * b)
+        a = 1.0 - t
+        a += f
+        a /= 2.0  # (1 - t + f) / 2
+        b = u - c
+        d = 1.0 + u
+        d += c
+        b /= d  # (u - c) / (1 + u + c)
+        a *= a
+        b *= b
+        a += b
+        return 1.0 - np.sqrt(a)
+    n = 1.0 + t
+    n -= f  # 1 + t - f, which every other kind starts from
     if kind is CardinalityKind.FROM_PH:
-        return (1.0 + t - f) / (2.0 + u + c)
-    if kind is CardinalityKind.FROM_PP:
-        return (1.0 + t - f) / (2.0 * (1.0 + u + c))
-    if kind is CardinalityKind.CLASSIC_MIN:
-        return (1.0 + t - f - u) / 2.0
-    if kind is CardinalityKind.CLASSIC_MED:
-        return (1.0 + t - f) / 2.0
-    if kind is CardinalityKind.CLASSIC_MAX:
-        return (1.0 + t - f + u) / 2.0
-    raise ValidationError(f"unknown cardinality kind {kind!r}")
+        d = 2.0 + u
+        d += c
+    elif kind is CardinalityKind.FROM_PP:
+        d = 1.0 + u
+        d += c
+        d *= 2.0
+    else:
+        if kind is CardinalityKind.CLASSIC_MIN:
+            n -= u
+        elif kind is CardinalityKind.CLASSIC_MAX:
+            n += u
+        elif kind is not CardinalityKind.CLASSIC_MED:
+            raise ValidationError(f"unknown cardinality kind {kind!r}")
+        d = 2.0
+    n /= d
+    return n
 
 
 def _entropy_formula(
@@ -127,18 +147,6 @@ def _entropy_formula(
     c,
     vector_norm: VectorNorm = VectorNorm.MAX,
 ):
-    if kind is EntropyKind.FROM_PE:
-        a = 1.0 - t - f
-        b = 2.0 * (u - c) / (1.0 + u + c)
-        return np.sqrt(a * a + b * b)
-    if kind is EntropyKind.FROM_PH:
-        return 2.0 * (1.0 - t - f + u + c) / (2.0 + c + u)
-    if kind is EntropyKind.FROM_PP:
-        return (1.0 - t - f + 2.0 * (u + c)) / (1.0 + c + u)
-    if kind is EntropyKind.SZMIDT_KACPRZYK:
-        return (1.0 - t - f + u + c) / (1.0 + t + f + u + c)
-    if kind is EntropyKind.SZMIDT_KACPRZYK_PI:
-        return (1.0 - t - f) / (1.0 - u - c)
     if kind is EntropyKind.BUSTINCE_BURILLO:
         return u + c
     if kind is EntropyKind.GRZEGORZEWSKI_MROWKA:
@@ -146,14 +154,53 @@ def _entropy_formula(
         if vector_norm is VectorNorm.MAX:
             return np.maximum(ambiguity, neutrality)
         if vector_norm is VectorNorm.SUM:
-            return ambiguity + neutrality
+            ambiguity += neutrality
+            return ambiguity
         raise ValidationError(f"unknown vector norm {vector_norm!r}")
-    raise ValidationError(f"unknown entropy kind {kind!r}")
+    n = 1.0 - t
+    n -= f  # 1 - t - f, which every other kind starts from
+    if kind is EntropyKind.FROM_PE:
+        b = u - c
+        b *= 2.0
+        d = 1.0 + u
+        d += c
+        b /= d  # 2 (u - c) / (1 + u + c)
+        n *= n
+        b *= b
+        n += b
+        return np.sqrt(n)
+    if kind is EntropyKind.FROM_PP:
+        s = u + c
+        s *= 2.0
+        n += s  # 1 - t - f + 2 (u + c)
+        d = 1.0 + c
+        d += u
+    elif kind is EntropyKind.SZMIDT_KACPRZYK_PI:
+        d = 1.0 - u
+        d -= c
+    else:
+        n += u
+        n += c  # 1 - t - f + u + c
+        if kind is EntropyKind.FROM_PH:
+            n *= 2.0
+            d = 2.0 + c
+            d += u
+        elif kind is EntropyKind.SZMIDT_KACPRZYK:
+            d = 1.0 + t
+            d += f
+            d += u
+            d += c
+        else:
+            raise ValidationError(f"unknown entropy kind {kind!r}")
+    n /= d
+    return n
 
 
 def _gm_components(t, f, u, c):
     """The vector entropy gm's (ambiguity, neutrality)."""
-    return 1.0 - t - f, u + c
+    a = 1.0 - t
+    a -= f
+    return a, u + c
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +478,10 @@ def _slice_probes(measure, base, on_base, directions):
     drop) or "down" (value must not rise).
     """
     t, f, u, c = base
-    i = 1.0 - t - f - u - c
+    i = 1.0 - t
+    i -= f
+    i -= u
+    i -= c
     lo, lo_in = on_base
     partners = {"t": 1, "f": 0, "u": 3, "c": 2}  # positions in base
     spend = (i > 1e-12) & lo_in  # ambiguity to spend, value in the domain
@@ -483,9 +533,13 @@ def _containment_trials(measure, mu, nu, on_base, growth):
     mu, nu, small = mu[at], nu[at], small[at]
     room = 1.0 - mu
     for a, b in _GROWTH_STEPS:
-        yield _grown(measure, mu, nu, small, mu + a * room, b * nu)
+        mu1 = a * room
+        mu1 += mu
+        yield _grown(measure, mu, nu, small, mu1, b * nu)
     alphas, betas = (x[at] for x in growth())
-    yield _grown(measure, mu, nu, small, mu + alphas * room, betas * nu)
+    mu1 = alphas * room
+    mu1 += mu
+    yield _grown(measure, mu, nu, small, mu1, betas * nu)
 
 
 def _grown(measure, mu, nu, small, mu1, nu1):

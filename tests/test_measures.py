@@ -54,7 +54,14 @@ from pentafuzz.measures import (
     entropy_array,
 )
 from helpers import bipolar_values, fuzzy_values, unit_floats
-from reference_measures import reference_mixed_close, reference_mixed_le
+from reference_measures import (
+    reference_card_formula,
+    reference_entropy_formula,
+    reference_gm_components,
+    reference_mixed_close,
+    reference_mixed_le,
+    reference_penta_arrays,
+)
 
 SIMILARITY_DERIVED = {
     CardinalityKind.FROM_PE: DistanceKind.PSEUDO_EUCLID,
@@ -716,6 +723,94 @@ class TestScreenedComparisons:
         a = np.array([-math.inf])
         with np.errstate(invalid="ignore"):
             assert not _mixed_le(a, a)[0]
+
+
+def _bits(x) -> list[str]:
+    """Every entry of x as float.hex: -0.0 differs from +0.0, and nan equals nan."""
+    return [float(v).hex() for v in np.atleast_1d(x).tolist()]
+
+
+def _outcome(formula, *args):
+    """A formula's bits, or the type of the exception it raised."""
+    try:
+        return _bits(formula(*args))
+    except ZeroDivisionError as e:  # skpi at u + c = 1, on Python floats
+        return type(e)
+
+
+def _closed_forms(kind, norm):
+    """The package's closed form of an audited measure and its first-written oracle."""
+    if isinstance(kind, CardinalityKind):
+        return (
+            lambda *tfuc: measures._card_formula(kind, *tfuc),
+            lambda *tfuc: reference_card_formula(kind, *tfuc),
+        )
+    return (
+        lambda *tfuc: measures._entropy_formula(kind, *tfuc, norm),
+        lambda *tfuc: reference_entropy_formula(kind, *tfuc, norm),
+    )
+
+
+LANDMARK_DEGREES = [(x.mu, x.nu) for x in (TRUE, FALSE, UNKNOWN, CONTRADICTORY, AMBIGUOUS)]
+SIGNED_UNIT_FLOATS = unit_floats | st.sampled_from([0.0, -0.0, 0.5, 1.0])
+
+# (mu, nu): the landmarks (u + c = 1 at U and C), the fuzzy line and one ulp
+# either side of it, and degrees that may be -0.0.
+DEGREE_PAIRS = st.one_of(
+    st.sampled_from(LANDMARK_DEGREES),
+    st.tuples(unit_floats, st.integers(-1, 1)).map(lambda p: (p[0], _nudged(1.0 - p[0], p[1]))),
+    st.tuples(SIGNED_UNIT_FLOATS, SIGNED_UNIT_FLOATS),
+)
+
+
+class TestClosedFormBits:
+    """The in-place closed forms keep the bits of their one-expression first forms."""
+
+    @given(
+        st.lists(DEGREE_PAIRS, min_size=1, max_size=24),
+        st.lists(st.tuples(*[SIGNED_UNIT_FLOATS] * 4), max_size=8),
+    )
+    @example(LANDMARK_DEGREES, [(-0.0, -0.0, -0.0, -0.0), (0.0, -0.0, 1.0, -0.0)])
+    def test_closed_forms_match_their_first_form_bit_for_bit(self, pairs, tuples):
+        mu, nu = (np.array(x, dtype=np.float64) for x in zip(*pairs))
+        tfuc = penta_arrays(mu, nu)
+        assert list(map(_bits, tfuc)) == list(map(_bits, reference_penta_arrays(mu, nu)))
+        # Decomposed tuples, then (t, f, u, c) tuples drawn whole, -0.0 included.
+        drawn = np.array(tuples, dtype=np.float64).reshape(-1, 4).T
+        tfuc = [np.concatenate([x, y]) for x, y in zip(tfuc, drawn)]
+        rows = list(zip(*(x.tolist() for x in tfuc)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for kind, norm in AUDITED:
+                ours, first = _closed_forms(kind, norm)
+                assert _bits(ours(*tfuc)) == _bits(first(*tfuc)), kind
+                for row in rows:
+                    assert _outcome(ours, *row) == _outcome(first, *row), (kind, row)
+            for args in (tfuc, *rows):
+                ours = measures._gm_components(*args)
+                assert list(map(_bits, ours)) == list(map(_bits, reference_gm_components(*args)))
+
+    def test_no_formula_writes_or_returns_its_inputs(self):
+        # Values where every kind is defined: no classic kind meets a
+        # paraconsistent value, and skpi no u + c = 1.
+        rng = np.random.default_rng(0)
+        mu = np.concatenate([[1.0, 0.0, 0.5, 0.3], rng.uniform(0.05, 0.5, 200)])
+        nu = np.concatenate([[0.0, 1.0, 0.5, 0.7], rng.uniform(0.05, 0.5, 200)])
+        d = decompose(mu, nu)
+        for x in d:
+            x.flags.writeable = False  # any write raises
+        tfuc = (d.t, d.f, d.u, d.c)
+        outputs = [*penta_arrays(d.mu, d.nu), *measures._gm_components(*tfuc)]
+        for kind, norm in AUDITED:
+            if isinstance(kind, CardinalityKind):
+                outputs += [measures._card_formula(kind, *tfuc), cardinality_array(kind, d)]
+            else:
+                outputs += [
+                    measures._entropy_formula(kind, *tfuc, norm),
+                    entropy_array(kind, d, norm),
+                ]
+            outputs += _evaluator(kind, norm)(*tfuc)
+        for out in outputs:
+            assert not any(np.shares_memory(out, x) for x in d)
 
 
 def _trials(block: int, specs, read: list | None = None):
