@@ -23,14 +23,13 @@ from .dataio import (
     write_dataset,
 )
 from .errors import DatasetError, PentafuzzError, ValidationError
-from .kernel import _CLASS_TEXTS, _class_codes, decompose
+from .kernel import _CLASS_TEXTS, _class_codes, _sum, decompose
 from .measures import (
     CardinalityKind,
     EntropyKind,
     VectorNorm,
     _border_cardinality,
     _entropy_mean,
-    _sum,
     audit_sample,
     axiom_audit,
     cardinality_array,
@@ -60,6 +59,8 @@ def _load(path: Path) -> BipolarFuzzySet:
             return read_dataset(fh, fmt)
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except DatasetError as exc:
+        raise DatasetError(f"{path}: {exc}") from None
 
 
 def _element_columns(dataset, card_kinds=(), entropy_kinds=(), vector_norm=VectorNorm.MAX):

@@ -35,6 +35,7 @@ from .kernel import (
     UNKNOWN,
     BipolarValue,
     PentaArrays,
+    _sum,
     decompose,
     penta_arrays,
     raise_first,
@@ -245,12 +246,6 @@ def cardinality_array(kind: CardinalityKind, d: PentaArrays) -> np.ndarray:
         lambda k: cardinality_point(kind, BipolarValue(float(d.mu[k]), float(d.nu[k]))),
     )
     return _card_formula(kind, d.t, d.f, d.u, d.c)
-
-
-def _sum(values: np.ndarray) -> float:
-    # Builtin sum over Python floats in universe order, as the pointwise
-    # route adds them; np.sum would pair the terms differently.
-    return float(sum(values.tolist()))
 
 
 def cardinality_set(kind: CardinalityKind, a: algebra.BipolarFuzzySet) -> float:

@@ -24,6 +24,7 @@ from .kernel import (
     PentaArrays,
     TauOmega,
     _check_degree,
+    _sum,
     decompose,
     finite_real,
     to_tau_omega,
@@ -186,13 +187,11 @@ def set_distance(
         raise ValidationError("set distance over an empty universe is undefined")
     da = decompose(*a.arrays())
     db = decompose(b_mu, b_nu)
-    # Builtin sum and max over Python floats in universe order, as the
-    # scalar form aggregates them; np.sum would pair terms differently.
-    values = _combine_arrays(kind, da.tau, da.omega, db.tau, db.omega).tolist()
+    values = _combine_arrays(kind, da.tau, da.omega, db.tau, db.omega)
     if aggregation is Aggregation.MEAN:
-        return sum(values) / len(values)
+        return _sum(values) / len(values)
     if aggregation is Aggregation.MAX:
-        return max(values)
+        return max(values.tolist())
     raise ValidationError(f"unknown aggregation {aggregation!r}")
 
 

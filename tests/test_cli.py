@@ -427,16 +427,17 @@ class TestDiagnosticsAndDeterminism:
 
     # A pair table is written block by block, after every check has passed.
     BAD_LAST_ROW = "id,mu,nu\na,0.8,0.2\nb,1,0\nc,x,0.2\n"
-    BAD_LAST_ROW_ERROR = "error: line 4: mu/nu must be numbers, got 'x', '0.2'\n"
+    BAD_LAST_ROW_ERROR = "error: {path}: line 4: mu/nu must be numbers, got 'x', '0.2'\n"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_a_bad_last_row_writes_no_byte(self, tmp_path, capsysbinary, fmt):
         path = write(tmp_path, "bad.csv", self.BAD_LAST_ROW)
         out = tmp_path / "r.csv"
+        error = self.BAD_LAST_ROW_ERROR.format(path=path).encode()
         assert main(["sim", str(path), "--format", fmt]) == 1
-        assert capsysbinary.readouterr() == (b"", self.BAD_LAST_ROW_ERROR.encode())
+        assert capsysbinary.readouterr() == (b"", error)
         assert main(["sim", str(path), "--format", fmt, "--out", str(out)]) == 1
-        assert capsysbinary.readouterr() == (b"", self.BAD_LAST_ROW_ERROR.encode())
+        assert capsysbinary.readouterr() == (b"", error)
         assert not out.exists()
 
     def test_a_streamed_report_to_a_directory_is_a_validation_error(
@@ -475,7 +476,7 @@ class TestDiagnosticsAndDeterminism:
         path = write(tmp_path, "bad.csv", self.BAD_LAST_ROW)
         for out in (tmp_path, tmp_path / "missing" / "r.csv"):
             assert main(["sim", str(path), "--out", str(out)]) == 1
-            assert capsys.readouterr().err == self.BAD_LAST_ROW_ERROR
+            assert capsys.readouterr().err == self.BAD_LAST_ROW_ERROR.format(path=path)
 
     def test_byte_identical_output_for_same_argv(self, landmark_dataset_path, tmp_path):
         out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
@@ -508,11 +509,11 @@ class TestDiagnosticsAndDeterminism:
         [
             (
                 "id,mu,nu\na,0.5,0.5\n" + "b" * 131_073 + ",0.2,0.3\n",
-                "error: line 3: field larger than field limit (131072)\n",
+                "error: {path}: line 3: field larger than field limit (131072)\n",
             ),
             (
                 "id,mu,nu\na,0.5,0.5\rb,0.2,0.3\n",
-                "error: line 2: new-line character seen in unquoted field",
+                "error: {path}: line 2: new-line character seen in unquoted field",
             ),
         ],
         ids=["field-over-the-limit", "bare-carriage-return"],
@@ -521,7 +522,17 @@ class TestDiagnosticsAndDeterminism:
         path = tmp_path / "bad.csv"
         path.write_bytes(text.encode("utf-8"))
         assert main(["penta", str(path)]) == 1
-        assert capsys.readouterr().err.startswith(message)
+        assert capsys.readouterr().err.startswith(message.format(path=path))
+
+    def test_a_dataset_error_names_its_file(self, tmp_path, capsys):
+        a = write(tmp_path, "a.csv", "id,mu,nu\na,0.5,0.5\n")
+        b = write(tmp_path, "b.csv", "id,mu,nu\na,0.5,0.5\na,0.2,0.3\n")
+        c = tmp_path / "c.csv"
+        c.write_bytes(b"id,mu,nu\na\xff,0.5,0.5\n")
+        assert main(["dist", str(a), str(b)]) == 1
+        assert capsys.readouterr().err == f"error: {b}: line 3: duplicate element id 'a'\n"
+        assert main(["setop", "union", str(a), str(c)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {c}: input is not valid UTF-8: ")
 
     def test_json_id_with_a_lone_surrogate_is_a_validation_error(self, tmp_path, capsys):
         path = tmp_path / "in.json"
@@ -529,7 +540,7 @@ class TestDiagnosticsAndDeterminism:
         for argv in (["penta", str(path)], ["setop", "complement", str(path)]):
             assert main(argv) == 1
             err = capsys.readouterr().err
-            assert err == "error: record 1: id must be valid Unicode, got 'a\\ud800'\n"
+            assert err == f"error: {path}: record 1: id must be valid Unicode, got 'a\\ud800'\n"
 
     def test_a_file_name_that_is_not_utf8_is_escaped(self, tmp_path, capsysbinary):
         path = tmp_path / os.fsdecode(b"\xff.csv")

@@ -113,6 +113,15 @@ class TestReadDataset:
             read_json('[{"id":"a\\udc80b","mu":0.1,"nu":0.2}]')
         assert str(err.value) == "record 0: id must be valid Unicode, got 'a\\udc80b'"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_input_that_is_not_utf8_is_rejected_before_parsing(self, fmt):
+        with pytest.raises(DatasetError) as err:
+            read_dataset(io.BytesIO(b"id,mu,nu\nx\xff,0.5,0.5\n"), fmt)
+        assert str(err.value) == (
+            "input is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 10: "
+            "invalid start byte"
+        )
+
     def test_leading_byte_order_mark_is_skipped(self):
         s = read_dataset(io.BytesIO(b"\xef\xbb\xbfid,mu,nu\nx,0.5,0.25\n"), "csv")
         assert s.universe == ("x",) and s.value("x") == BipolarValue(0.5, 0.25)

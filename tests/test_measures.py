@@ -874,6 +874,38 @@ class TestTally:
         assert read == [(0, 0), (1, 0)]
 
 
+class TestAuditFailureTexts:
+    """The witnesses of failures the default audits never reach, on crafted inputs."""
+
+    def test_an_equality_trial_names_the_first_unequal_entry_in_its_mask(self):
+        mu, nu = np.array([0.1, 0.2, 0.3]), np.array([0.4, 0.5, 0.6])
+        a = np.array([0.5, 0.25, 0.75])
+        b = a + np.array([1e-6, 0.0, 1e-6])
+        tally = measures._Tally("c3")
+        # Entry 0 differs too, but lies outside the left tuple's domain.
+        tally.add([measures._equal(mu, nu, (a, np.array([False, True, True])), (b, np.True_))])
+        witness = "(mu=0.3, nu=0.6): 0.75 != 0.750001"
+        assert tally.result() == measures.AxiomResult("c3", False, 2, witness)
+
+    @pytest.mark.parametrize(
+        "e_u, e_c, witness",
+        [
+            (0.9, 0.8, "value 0.9 at U differs from 0.8 at C"),
+            (0.5, 0.5, "value 0.5 at U is below 1 at I"),
+        ],
+    )
+    def test_a_neutral_landmark_failure_names_the_landmarks(self, e_u, e_c, witness):
+        landmarks = {"U": (e_u, True), "C": (e_c, True), "I": (1.0, True)}
+        result = measures._neutral_landmark_result("e5", landmarks)
+        assert result == measures.AxiomResult("e5", False, 3, witness)
+
+    def test_the_result_of_an_axiom_not_audited_is_a_key_error(self):
+        report = measures.AuditReport("pe", "card", (measures.AxiomResult("c1", True, 1),))
+        assert report.result("c1").passed
+        with pytest.raises(KeyError, match="c9"):
+            report.result("c9")
+
+
 class TestScalarAxiomSpotChecks:
     """Value-level counterparts of the audited identities."""
 
