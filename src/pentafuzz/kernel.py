@@ -22,6 +22,9 @@ result bit for bit.  For degrees in [0, 1] the invariants then hold by
 arithmetic: t*f is exactly 0, since nu - mu rounds to -(mu - nu), and
 every other bound holds to within a few ulps, far inside EPSILON; so the
 arrays are not checked again.  ``penta_arrays`` is its unchecked core.
+The same symmetry lets it compute f as t - (mu - nu), exactly, from the
+difference it already has; and since only mu - nu can be -0.0, only t
+needs the +0.0 that the scalar ``_pos`` gives a zero.
 """
 
 from __future__ import annotations
@@ -288,27 +291,28 @@ class PentaArrays(NamedTuple):
     omega: np.ndarray
 
 
-def _pos_array(a: np.ndarray) -> np.ndarray:
-    # _pos elementwise, in place on a temporary.  np.maximum alone may keep
-    # a -0.0 entry; adding +0.0 turns it into +0.0 and leaves every other
-    # entry as it is.
-    np.maximum(a, 0.0, out=a)
-    a += 0.0
-    return a
-
-
 def penta_arrays(mu: np.ndarray, nu: np.ndarray):
     """Unvalidated core of ``decompose``: the arrays (t, f, u, c).
 
-    Each entry is computed with to_penta's operations in to_penta's
-    operand order, so it equals the scalar index bit for bit.  The
-    degrees are not checked.
+    For degrees in [0, 1], which are not checked, each entry equals
+    to_penta's index bit for bit.  t is the positive part of d = mu - nu;
+    f = t - d, computed in d's buffer, is exact: +0.0 where d >= 0, and
+    where d < 0 it is -d, which is nu - mu, since rounding to nearest is
+    symmetric.  u and c are (1 - mu) - nu and (mu + nu) - 1, in to_penta's
+    operand order.  np.maximum(x, 0.0) keeps a -0.0 entry of x, and only
+    d can hold one (mu = -0.0, nu = +0.0), so only t adds +0.0: an exact
+    zero difference is +0.0 unless it is -0.0 - (+0.0), and neither
+    1 - mu nor mu + nu - 1 starts from -0.0.
     """
+    d = mu - nu
+    t = np.maximum(d, 0.0)
+    t += 0.0
+    f = np.subtract(t, d, out=d)
     u = 1.0 - mu
     u -= nu
     c = mu + nu
     c -= 1.0
-    return _pos_array(mu - nu), _pos_array(nu - mu), _pos_array(u), _pos_array(c)
+    return t, f, np.maximum(u, 0.0, out=u), np.maximum(c, 0.0, out=c)
 
 
 def raise_first(bad: np.ndarray, scalar: Callable[[int], object]) -> None:

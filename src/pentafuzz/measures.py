@@ -365,6 +365,9 @@ _LM_MU_NU = {
 # failures hide.
 _GROWTH_STEPS = ((0.5, 0.5), (0.0, 0.5), (0.5, 1.0), (1.0, 0.0), (0.0, 0.75), (0.25, 1.0))
 
+# The zero partner of a slice probe: a scalar, broadcast by the closed forms.
+_ZERO = np.float64(0.0)
+
 
 def _screened(a, b, ok, scaled):
     """Finish a mixed-tolerance test that ok made at the flat tolerance.
@@ -390,12 +393,16 @@ def _mixed_close(a, b):
 
 
 def _mixed_le(a, b):
-    """a <= b + EPSILON * max(1, |a|, |b|), elementwise.  Entries with b = -inf, if
-    any, go to the scaled test, where -inf + inf is nan, so (-inf, -inf) fails."""
+    """a <= b + EPSILON * max(1, |a|, |b|), elementwise.
+
+    Entries with b = -inf go to the scaled test, where -inf + inf is nan,
+    so (-inf, -inf) fails.  One reduction screens for them: only when the
+    minimum of b is -inf, or nan, which the minimum propagates, are the
+    b = -inf entries masked out of the flat test.
+    """
     ok = a <= b + EPSILON
-    low = b == -np.inf
-    if low.any():
-        ok &= ~low
+    if not b.min(initial=np.inf) > -np.inf:
+        ok &= b != -np.inf
     return _screened(a, b, ok, lambda a, b, scale: a <= b + EPSILON * scale)
 
 
@@ -486,7 +493,7 @@ def _slice_probes(measure, base, on_base, directions):
         p = partners[comp]
         at = np.flatnonzero((base[p] == 0.0) & spend)
         lo_at, i_at = lo[at], i[at]
-        start = [np.zeros(at.size) if n == p else x[at] for n, x in enumerate(base)]
+        start = [_ZERO if n == p else x[at] for n, x in enumerate(base)]
         yield _probe(measure, start, lo_at, comp, direction, 0.5 * i_at)
         yield _probe(measure, start, lo_at, comp, direction, i_at)
 
@@ -508,7 +515,7 @@ def _probe(measure, base, lo, comp: str, direction: str, delta):
     ok = _mixed_le(lo, hi) if direction == "up" else _mixed_le(hi, lo)
 
     def witness(k: int) -> str:
-        start = tuple(float(x[k]) for x in base)
+        start = tuple(float(x[k] if x.ndim else x) for x in base)
         return (
             f"slice {comp}: base (t,f,u,c)={start} + delta {float(delta[k]):.9g} "
             f"moved value from {float(lo[k]):.9g} to {float(hi[k]):.9g}"
@@ -528,9 +535,17 @@ def _containment_trials(measure, mu, nu, on_base, growth):
     mu, nu, small = mu[at], nu[at], small[at]
     room = 1.0 - mu
     for a, b in _GROWTH_STEPS:
-        mu1 = a * room
-        mu1 += mu
-        yield _grown(measure, mu, nu, small, mu1, b * nu)
+        # a * room + mu and b * nu, skipping the products that change no
+        # bit: 1 * x is x, and 0 * room + mu is mu, as room >= +0.0 and the
+        # sample holds no -0.0.
+        if a == 0.0:
+            mu1 = mu
+        elif a == 1.0:
+            mu1 = room + mu
+        else:
+            mu1 = a * room
+            mu1 += mu
+        yield _grown(measure, mu, nu, small, mu1, nu if b == 1.0 else b * nu)
     alphas, betas = (x[at] for x in growth())
     mu1 = alphas * room
     mu1 += mu

@@ -8,6 +8,11 @@ verdict on every float pair.
 The closed forms and penta_arrays are one expression per result.  The
 package now makes each result with its first operation and updates it in
 place; on floats and arrays alike it must give the same bits.
+
+The slice probes gather their zero partner as an array of zeros, and the
+containment trials multiply at every growth step.  The package passes the
+partner as a scalar and skips the steps that are identities (a = 0 or 1,
+b = 1); trial by trial it must give the same masks, verdicts and witnesses.
 """
 
 import numpy as np
@@ -91,4 +96,52 @@ def reference_penta_arrays(mu: np.ndarray, nu: np.ndarray):
         _reference_pos_array(nu - mu),
         _reference_pos_array(1.0 - mu - nu),
         _reference_pos_array(mu + nu - 1.0),
+    )
+
+
+def reference_slice_probes(measure, base, on_base, directions):
+    """The slice probes with the zero partner gathered as np.zeros."""
+    t, f, u, c = base
+    i = 1.0 - t - f - u - c
+    lo, lo_in = on_base
+    partners = {"t": 1, "f": 0, "u": 3, "c": 2}
+    spend = (i > 1e-12) & lo_in
+    for comp, direction in directions.items():
+        p = partners[comp]
+        at = np.flatnonzero((base[p] == 0.0) & spend)
+        start = [np.zeros(at.size) if n == p else x[at] for n, x in enumerate(base)]
+        for delta in (0.5 * i[at], i[at]):
+            yield _reference_probe(measure, start, lo[at], comp, direction, delta)
+
+
+def _reference_probe(measure, base, lo, comp, direction, delta):
+    hi, hi_in = measure(*(x + delta if n == comp else x for n, x in zip("tfuc", base)))
+    ok = reference_mixed_le(lo, hi) if direction == "up" else reference_mixed_le(hi, lo)
+
+    def witness(k: int) -> str:
+        start = tuple(float(x[k]) for x in base)
+        return (
+            f"slice {comp}: base (t,f,u,c)={start} + delta {float(delta[k]):.9g} "
+            f"moved value from {float(lo[k]):.9g} to {float(hi[k]):.9g}"
+        )
+
+    return hi_in, ok, witness
+
+
+def reference_containment_trials(measure, mu, nu, on_base, growth, steps):
+    """The containment trials with a * room + mu and b * nu computed at every
+    step (a, b) of steps, then at the step growth() draws."""
+    small, small_in = on_base
+    at = np.flatnonzero(np.broadcast_to(small_in, mu.shape))
+    mu, nu, small = mu[at], nu[at], small[at]
+    room = 1.0 - mu
+    for a, b in (*steps, tuple(x[at] for x in growth())):
+        yield _reference_grown(measure, mu, nu, small, a * room + mu, b * nu)
+
+
+def _reference_grown(measure, mu, nu, small, mu1, nu1):
+    large, large_in = measure(*reference_penta_arrays(mu1, nu1))
+    return large_in, reference_mixed_le(small, large), lambda k: (
+        f"(mu={mu1[k]:.9g}, nu={nu1[k]:.9g}) contains (mu={mu[k]:.9g}, nu={nu[k]:.9g}) "
+        f"but value dropped from {small[k]:.9g} to {large[k]:.9g}"
     )

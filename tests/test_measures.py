@@ -45,7 +45,7 @@ from pentafuzz import (
 )
 from pentafuzz import measures
 from pentafuzz.dataio import write_audit
-from pentafuzz.kernel import decompose, penta_arrays
+from pentafuzz.kernel import decompose, penta_arrays, to_penta
 from pentafuzz.measures import (
     _evaluator,
     _mixed_close,
@@ -60,7 +60,9 @@ from reference_measures import (
     reference_gm_components,
     reference_mixed_close,
     reference_mixed_le,
+    reference_containment_trials,
     reference_penta_arrays,
+    reference_slice_probes,
 )
 
 SIMILARITY_DERIVED = {
@@ -718,6 +720,11 @@ class TestScreenedComparisons:
             assert np.array_equal(_mixed_le(b, a), reference_mixed_le(b, a))
             assert np.array_equal(_mixed_close(a, b), reference_mixed_close(a, b))
 
+    def test_empty_arrays_compare_to_empty_verdicts(self):
+        # A slice with no admissible probe compares empty arrays.
+        empty = np.empty(0)
+        assert _mixed_le(empty, empty).shape == _mixed_close(empty, empty).shape == (0,)
+
     def test_negative_infinity_is_not_below_itself(self):
         # -inf + EPSILON * inf is nan in the scaled test, so the pair fails.
         a = np.array([-math.inf])
@@ -811,6 +818,132 @@ class TestClosedFormBits:
             outputs += _evaluator(kind, norm)(*tfuc)
         for out in outputs:
             assert not any(np.shares_memory(out, x) for x in d)
+
+
+# Degrees where penta_arrays could lose a bit: both zeros, subnormals, the
+# smallest normal, 1.0 and one ulp below it, and 0.5 and its neighbours.
+EDGE_DEGREES = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 1.0 - 2**-53,
+         0.5, 0.5 - 2**-54, 0.5 + 2**-53]
+    ),
+    unit_floats,
+)
+# (mu, nu) with mu + nu == 1 exactly, so that u = c = +0.0.
+EXACT_FUZZY = unit_floats.map(lambda m: (m, 1.0 - m)).filter(lambda p: p[0] + p[1] == 1.0)
+
+
+class TestPentaArrayBits:
+    """penta_arrays computes f from mu - nu and adds +0.0 to t alone; it keeps
+    the bits of the one-expression oracle and of to_penta."""
+
+    @given(st.lists(st.tuples(EDGE_DEGREES, EDGE_DEGREES) | EXACT_FUZZY, min_size=1, max_size=40))
+    @example(
+        [(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (-0.0, 1.0), (1.0, -0.0), (5e-324, 0.0),
+         (0.0, 5e-324), (1.0, 1.0 - 2**-53), (1.0 - 2**-53, 1.0), (2**-53, 1.0 - 2**-53),
+         (0.25, 0.75), (0.75, 0.25), (1.0, 1.0), (1.0, 0.0)]
+    )
+    def test_penta_arrays_equal_the_oracle_and_to_penta(self, pairs):
+        mu, nu = (np.array(x, dtype=np.float64) for x in zip(*pairs))
+        ours = penta_arrays(mu, nu)
+        assert list(map(_bits, ours)) == list(map(_bits, reference_penta_arrays(mu, nu)))
+        # BipolarValue stores -0.0 as +0.0; the indexes are the same either way.
+        scalar = [to_penta(BipolarValue(m, n)) for m, n in pairs]
+        for name, column in zip("tfuc", ours):
+            assert _bits(column) == _bits([getattr(x, name) for x in scalar]), name
+
+
+# Blocks as the audit samples them: grid points, the landmarks, and uniform
+# draws in [0, 1), which are never -0.0.
+GRID_SIDE = np.linspace(0.0, 1.0, 101)
+SAMPLE_DEGREES = st.one_of(
+    st.integers(0, 100).map(lambda k: float(GRID_SIDE[k])),
+    st.floats(0.0, 1.0, exclude_max=True),
+)
+# The landmarks, and points where audited axioms fail: pe and pp c5 at
+# (0.42, 0.01) and (0.51, 0.01), max c2 wherever u > 0 with ambiguity.
+FAILING_POINTS = [*LANDMARK_DEGREES, (0.42, 0.01), (0.51, 0.01), (0.3, 0.4), (0.8, 0.7)]
+
+
+def _family(kind) -> str:
+    return "cardinality" if isinstance(kind, CardinalityKind) else "entropy"
+
+
+def _first_form_measure(kind, norm):
+    """_evaluator with the one-expression closed form."""
+    first = _closed_forms(kind, norm)[1]
+    return lambda *tfuc: (first(*tfuc), measures._domain(kind, *tfuc))
+
+
+def _trial_outcome(trial):
+    """A trial's masked count (as _Tally counts it), mask, ok bits and every witness."""
+    mask, ok, witness = trial
+    masked = int(np.count_nonzero(mask)) if mask.ndim else ok.size
+    return masked, np.broadcast_to(mask, ok.shape).tolist(), ok.tolist(), [
+        witness(k) for k in range(ok.size)
+    ]
+
+
+class TestAuditTrials:
+    """The slice probes (scalar zero partner) and containment steps (identity
+    steps skipped) give their first forms' trials, and no trial writes its inputs."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.tuples(*[SAMPLE_DEGREES] * 4), max_size=30))
+    def test_trials_equal_their_first_forms(self, rows):
+        # Each row is (mu, nu, alpha, beta): a sample entry and its random step.
+        fixed = [(mu, nu, 0.5, 0.5) for mu, nu in FAILING_POINTS]
+        mu, nu, alphas, betas = (np.array(x, dtype=np.float64) for x in zip(*fixed, *rows))
+        growth = lambda: (alphas, betas)  # noqa: E731
+        failed = set()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for kind, norm in AUDITED:
+                trials = measures._block_trials(_family(kind), _evaluator(kind, norm), mu, nu, growth)
+                first = _first_form_measure(kind, norm)
+                base = reference_penta_arrays(mu, nu)
+                on_base = first(*base)
+                if isinstance(kind, CardinalityKind):
+                    expected = {
+                        "c2": reference_slice_probes(first, base, on_base, measures._C2_SLICES),
+                        "c5": reference_containment_trials(
+                            first, mu, nu, on_base, growth, measures._GROWTH_STEPS
+                        ),
+                    }
+                else:
+                    expected = {
+                        "e3": reference_slice_probes(first, base, on_base, measures._E3_SLICES)
+                    }
+                for axiom, reference in expected.items():
+                    ours = [_trial_outcome(x) for x in trials[axiom]]
+                    assert ours == [_trial_outcome(x) for x in reference], (kind, norm, axiom)
+                    for _, mask, ok, _ in ours:
+                        if any(m and not k for m, k in zip(mask, ok)):
+                            failed.add((kind, axiom))
+        assert {
+            (CardinalityKind.CLASSIC_MAX, "c2"),
+            (CardinalityKind.FROM_PE, "c5"),
+            (CardinalityKind.FROM_PP, "c5"),
+        } <= failed
+
+    def test_no_trial_writes_its_inputs(self):
+        # mu1 is mu itself at the alpha = 0 steps, so a write there would
+        # change the sample; read-only arrays make any write raise.
+        rng = np.random.default_rng(3)
+        mu, nu = np.concatenate([np.array(FAILING_POINTS).T, rng.random((2, 200))], axis=1)
+        alphas, betas = rng.random((2, mu.size))
+        arrays = (mu, nu, alphas, betas)
+        for x in arrays:
+            x.flags.writeable = False
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for kind, norm in AUDITED:
+                trials = measures._block_trials(
+                    _family(kind), _evaluator(kind, norm), mu, nu, lambda: (alphas, betas)
+                )
+                for axiom, made in trials.items():
+                    for mask, ok, witness in made:
+                        if ok.size:
+                            witness(ok.size - 1)
+        assert not any(x.flags.writeable for x in arrays)
 
 
 def _trials(block: int, specs, read: list | None = None):
