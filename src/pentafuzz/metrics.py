@@ -91,68 +91,44 @@ def interval_distance(iv: Interval, x: float, y: float) -> float:
         raise ValidationError(f"x={x} outside [{iv.a}, {iv.b}]")
     if not (iv.a <= y <= iv.b):
         raise ValidationError(f"y={y} outside [{iv.a}, {iv.b}]")
-    mid = (iv.a + iv.b) / 2.0
-    half = (iv.b - iv.a) / 2.0
-    return abs(x - y) / (half + max(abs(x - mid), abs(y - mid)))
+    return _midpoint_distance(x, y, (iv.a + iv.b) / 2.0, (iv.b - iv.a) / 2.0)
 
 
-def _signed_unit_distance(p: float, q: float) -> float:
-    # interval_distance specialized to [-1, 1]
-    return abs(p - q) / (1.0 + max(abs(p), abs(q)))
+def _midpoint_distance(x, y, mid: float, half: float, maximum=max):
+    """interval_distance on [mid - half, mid + half], unchecked; on floats with
+    the builtin max, on arrays with np.maximum."""
+    return abs(x - y) / (half + maximum(abs(x - mid), abs(y - mid)))
 
 
 def tau_distance(v1: TauOmega, v2: TauOmega) -> float:
     """Partial distance along the signed truth axis."""
-    return _signed_unit_distance(v1.tau, v2.tau)
+    return _midpoint_distance(v1.tau, v2.tau, 0.0, 1.0)
 
 
 def omega_distance(v1: TauOmega, v2: TauOmega) -> float:
     """Partial distance along the signed neutrality axis."""
-    return _signed_unit_distance(v1.omega, v2.omega)
+    return _midpoint_distance(v1.omega, v2.omega, 0.0, 1.0)
+
+
+def _distance(kind: DistanceKind, tau1, omega1, tau2, omega2, maximum=max, sqrt=math.sqrt):
+    """The distance of each pair (tau1, omega1), (tau2, omega2): Python floats
+    with the default max and sqrt, arrays entry by entry with np.maximum and
+    np.sqrt.  Both run the same operations in the same order, so each array
+    entry equals the float result bit for bit."""
+    if kind is DistanceKind.PSEUDO_HAMMING:
+        num = abs(tau1 - tau2) + abs(omega1 - omega2)
+        return num / (1.0 + maximum(abs(tau1), abs(tau2)) + maximum(abs(omega1), abs(omega2)))
+    dt = _midpoint_distance(tau1, tau2, 0.0, 1.0, maximum)
+    dw = _midpoint_distance(omega1, omega2, 0.0, 1.0, maximum)
+    if kind is DistanceKind.PSEUDO_EUCLID:
+        return sqrt(dt * dt + dw * dw)
+    if kind is DistanceKind.PSEUDO_PROB:
+        return dt + dw - dt * dw
+    raise ValidationError(f"unknown distance kind {kind!r}")
 
 
 def _combine(kind: DistanceKind, w1: TauOmega, w2: TauOmega) -> float:
-    if kind is DistanceKind.PSEUDO_HAMMING:
-        num = abs(w1.tau - w2.tau) + abs(w1.omega - w2.omega)
-        den = 1.0 + max(abs(w1.tau), abs(w2.tau)) + max(abs(w1.omega), abs(w2.omega))
-        return num / den
-    dt = _signed_unit_distance(w1.tau, w2.tau)
-    dw = _signed_unit_distance(w1.omega, w2.omega)
-    if kind is DistanceKind.PSEUDO_EUCLID:
-        return math.sqrt(dt * dt + dw * dw)
-    if kind is DistanceKind.PSEUDO_PROB:
-        return dt + dw - dt * dw
-    raise ValidationError(f"unknown distance kind {kind!r}")
-
-
-def _signed_unit_distance_arrays(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return np.abs(p - q) / (1.0 + np.maximum(np.abs(p), np.abs(q)))
-
-
-def _combine_arrays(
-    kind: DistanceKind,
-    tau1: np.ndarray,
-    omega1: np.ndarray,
-    tau2: np.ndarray,
-    omega2: np.ndarray,
-) -> np.ndarray:
-    """_combine entry by entry: the same operations in the same order, so
-    every entry equals the scalar distance bit for bit."""
-    if kind is DistanceKind.PSEUDO_HAMMING:
-        num = np.abs(tau1 - tau2) + np.abs(omega1 - omega2)
-        den = (
-            1.0
-            + np.maximum(np.abs(tau1), np.abs(tau2))
-            + np.maximum(np.abs(omega1), np.abs(omega2))
-        )
-        return num / den
-    dt = _signed_unit_distance_arrays(tau1, tau2)
-    dw = _signed_unit_distance_arrays(omega1, omega2)
-    if kind is DistanceKind.PSEUDO_EUCLID:
-        return np.sqrt(dt * dt + dw * dw)
-    if kind is DistanceKind.PSEUDO_PROB:
-        return dt + dw - dt * dw
-    raise ValidationError(f"unknown distance kind {kind!r}")
+    return _distance(kind, w1.tau, w1.omega, w2.tau, w2.omega)
 
 
 def bipolar_distance(kind: DistanceKind, x1: BipolarValue, x2: BipolarValue) -> float:
@@ -168,11 +144,9 @@ def bipolar_similarity(kind: DistanceKind, x1: BipolarValue, x2: BipolarValue) -
 def fuzzy_distance(mu1: float, mu2: float) -> float:
     """Distance between fuzzy degrees; the common collapse of all three kinds.
 
-    Algebraically equal to interval_distance on [0, 1].
+    Equal bit for bit to interval_distance on [0, 1].
     """
-    mu1 = _check_degree("mu1", mu1)
-    mu2 = _check_degree("mu2", mu2)
-    return 2.0 * abs(mu1 - mu2) / (1.0 + max(abs(2.0 * mu1 - 1.0), abs(2.0 * mu2 - 1.0)))
+    return _midpoint_distance(_check_degree("mu1", mu1), _check_degree("mu2", mu2), 0.5, 0.5)
 
 
 def set_distance(
@@ -187,7 +161,7 @@ def set_distance(
         raise ValidationError("set distance over an empty universe is undefined")
     da = decompose(*a.arrays())
     db = decompose(b_mu, b_nu)
-    values = _combine_arrays(kind, da.tau, da.omega, db.tau, db.omega)
+    values = _distance(kind, da.tau, da.omega, db.tau, db.omega, np.maximum, np.sqrt)
     if aggregation is Aggregation.MEAN:
         return _sum(values) / len(values)
     if aggregation is Aggregation.MAX:
@@ -222,7 +196,7 @@ def _pairwise_blocks(kind: DistanceKind, d: PentaArrays, similarity: bool):
         rows = np.arange(lo, hi)
         j = np.repeat(rows, rows)
         k = np.arange(len(j)) - np.repeat(before[lo:hi] - before[lo], rows)
-        dist = _combine_arrays(kind, d.tau[j], d.omega[j], d.tau[k], d.omega[k])
+        dist = _distance(kind, d.tau[j], d.omega[j], d.tau[k], d.omega[k], np.maximum, np.sqrt)
         return j, k, 1.0 - dist if similarity else dist
 
     return (block(lo, hi) for lo, hi in zip(bounds, bounds[1:]))

@@ -13,11 +13,27 @@ The slice probes gather their zero partner as an array of zeros, and the
 containment trials multiply at every growth step.  The package passes the
 partner as a scalar and skips the steps that are identities (a = 0 or 1,
 b = 1); trial by trial it must give the same masks, verdicts and witnesses.
+
+The distances are kept as first written, on Python floats: the signed-unit
+quotient on [-1, 1], the three combinations of the tau and omega partials
+(the Hamming joint quotient, the Euclid root, the probabilistic sum), and the
+fuzzy distance in its doubled form 2|m1 - m2| / (1 + max(|2 m1 - 1|, |2 m2 - 1|)).
+The package computes them all with one midpoint quotient, on floats and
+arrays; pair by pair it must give the same bits.
 """
+
+import math
 
 import numpy as np
 
-from pentafuzz import EPSILON, CardinalityKind, EntropyKind, ValidationError, VectorNorm
+from pentafuzz import (
+    EPSILON,
+    CardinalityKind,
+    DistanceKind,
+    EntropyKind,
+    ValidationError,
+    VectorNorm,
+)
 
 
 def reference_mixed_close(a, b, tol: float = EPSILON):
@@ -145,3 +161,25 @@ def _reference_grown(measure, mu, nu, small, mu1, nu1):
         f"(mu={mu1[k]:.9g}, nu={nu1[k]:.9g}) contains (mu={mu[k]:.9g}, nu={nu[k]:.9g}) "
         f"but value dropped from {small[k]:.9g} to {large[k]:.9g}"
     )
+
+
+def reference_signed_unit_distance(p: float, q: float) -> float:
+    return abs(p - q) / (1.0 + max(abs(p), abs(q)))
+
+
+def reference_distance(kind: DistanceKind, tau1, omega1, tau2, omega2) -> float:
+    if kind is DistanceKind.PSEUDO_HAMMING:
+        num = abs(tau1 - tau2) + abs(omega1 - omega2)
+        den = 1.0 + max(abs(tau1), abs(tau2)) + max(abs(omega1), abs(omega2))
+        return num / den
+    dt = reference_signed_unit_distance(tau1, tau2)
+    dw = reference_signed_unit_distance(omega1, omega2)
+    if kind is DistanceKind.PSEUDO_EUCLID:
+        return math.sqrt(dt * dt + dw * dw)
+    if kind is DistanceKind.PSEUDO_PROB:
+        return dt + dw - dt * dw
+    raise ValidationError(f"unknown distance kind {kind!r}")
+
+
+def reference_fuzzy_distance(mu1: float, mu2: float) -> float:
+    return 2.0 * abs(mu1 - mu2) / (1.0 + max(abs(2.0 * mu1 - 1.0), abs(2.0 * mu2 - 1.0)))

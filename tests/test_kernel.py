@@ -198,6 +198,15 @@ class TestTauOmega:
         with pytest.raises(ValidationError):
             TauOmega(0.7, 0.7)
 
+    def test_coordinate_bound_is_closed_at_one_plus_epsilon(self):
+        assert TauOmega(1.0 + EPSILON, 0.0).tau == 1.0 + EPSILON
+        assert TauOmega(0.0, 1.0 + EPSILON).omega == 1.0 + EPSILON
+        beyond = float(np.nextafter(1.0 + EPSILON, 2.0))
+        with pytest.raises(ValidationError, match="tau must lie in"):
+            TauOmega(beyond, 0.0)
+        with pytest.raises(ValidationError, match="omega must lie in"):
+            TauOmega(0.0, beyond)
+
     @given(bipolar_values)
     def test_round_trip_through_signed_coordinates(self, x):
         p = to_penta(x)
@@ -256,11 +265,12 @@ class TestReducedPenta:
             assert a == pytest.approx(b, abs=EPSILON)
 
     def test_rejects_class_mismatch(self):
-        with pytest.raises(ValidationError):
+        # the class check's own message, not a later PentaValue invariant error
+        with pytest.raises(ValidationError, match="not intuitionistic"):
             reduced_penta(BipolarValue(0.8, 0.6), ValueClass.INTUITIONISTIC)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="not paraconsistent"):
             reduced_penta(BipolarValue(0.2, 0.3), ValueClass.PARACONSISTENT)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="not fuzzy"):
             reduced_penta(BipolarValue(0.2, 0.3), ValueClass.FUZZY)
 
     def test_general_class_has_no_reduction(self):

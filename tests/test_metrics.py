@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import pentafuzz.metrics as metrics_module
@@ -37,6 +37,7 @@ from pentafuzz import (
     to_tau_omega,
 )
 from helpers import bipolar_values, fuzzy_values, unit_floats, value_set_pairs
+from reference_measures import reference_distance, reference_fuzzy_distance
 
 ALL_KINDS = list(DistanceKind)
 LANDMARKS = {"T": TRUE, "F": FALSE, "U": UNKNOWN, "C": CONTRADICTORY, "I": AMBIGUOUS}
@@ -154,6 +155,78 @@ class TestIntervalDistance:
         want = interval_distance(signed, max(min(gx, 1.0), -1.0), max(min(gy, 1.0), -1.0))
         assert got == pytest.approx(want, abs=1e-9)
         assert 0.0 <= got <= 1.0 + 1e-12
+
+
+# Signed coordinates and degrees with the edge cases drawn often: both zeros,
+# the smallest subnormal and normal, the interval's ends, and (for tau and
+# omega) the 1 + EPSILON that TauOmega still admits.
+TINY = (5e-324, 2.2250738585072014e-308)
+signed_coordinates = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.0 + EPSILON / 2, *TINY, *(-x for x in TINY)]),
+    st.floats(min_value=-1.0, max_value=1.0),
+)
+landmark_coordinates = [(w.tau, w.omega) for w in map(to_tau_omega, LANDMARKS.values())]
+coordinate_pairs = st.one_of(
+    st.sampled_from(landmark_coordinates), st.tuples(signed_coordinates, signed_coordinates)
+)
+edge_degrees = st.one_of(st.sampled_from([0.0, 1.0, 0.5, *TINY, 1.0 - TINY[0]]), unit_floats)
+edge_values = st.one_of(
+    st.sampled_from(list(LANDMARKS.values())), st.builds(BipolarValue, edge_degrees, edge_degrees)
+)
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+class TestOneDistanceFormula:
+    """metrics computes every distance with _midpoint_distance and _distance;
+    tests/reference_measures.py keeps each form as it was first written."""
+
+    @given(st.lists(st.tuples(coordinate_pairs, coordinate_pairs), min_size=1, max_size=30))
+    def test_distance_equals_the_reference_forms_on_floats_and_arrays(self, pairs):
+        rows = [(*w1, *w2) for w1, w2 in pairs]
+        columns = [np.array(c) for c in zip(*rows)]
+        for kind in ALL_KINDS:
+            want = _hex(reference_distance(kind, *row) for row in rows)
+            assert _hex(metrics_module._distance(kind, *row) for row in rows) == want
+            got = metrics_module._distance(kind, *columns, np.maximum, np.sqrt)
+            assert _hex(got.tolist()) == want
+
+    @given(st.lists(edge_values, min_size=2, max_size=12), st.data())
+    def test_set_functions_equal_the_reference_forms(self, values, data):
+        others = data.draw(st.lists(edge_values, min_size=len(values), max_size=len(values)))
+        ids = [f"e{k}" for k in range(len(values))]
+        a, b = BipolarFuzzySet(zip(ids, values)), BipolarFuzzySet(zip(ids, others))
+        wa, wb = list(map(to_tau_omega, values)), list(map(to_tau_omega, others))
+        for kind in ALL_KINDS:
+            pairs = [
+                reference_distance(kind, wa[j].tau, wa[j].omega, wa[k].tau, wa[k].omega)
+                for j in range(len(wa))
+                for k in range(j)
+            ]
+            assert _hex(d for _, _, d in pairwise_matrix(kind, a, similarity=False)) == _hex(pairs)
+            elementwise = [
+                reference_distance(kind, v.tau, v.omega, w.tau, w.omega) for v, w in zip(wa, wb)
+            ]
+            assert set_distance(kind, a, b, Aggregation.MAX).hex() == max(elementwise).hex()
+            mean = sum(elementwise) / len(elementwise)
+            assert set_distance(kind, a, b).hex() == mean.hex()
+
+    @given(edge_degrees, edge_degrees)
+    @example(5e-324, 0.5)
+    def test_fuzzy_distance_equals_its_doubled_form_and_the_unit_interval(self, m1, m2):
+        got = fuzzy_distance(m1, m2).hex()
+        assert got == reference_fuzzy_distance(m1, m2).hex()
+        assert got == interval_distance(Interval(0.0, 1.0), m1, m2).hex()
+
+    def test_the_core_leaves_range_checks_to_interval_distance(self):
+        # TauOmega admits |tau| up to 1 + EPSILON; the partials must not raise there
+        beyond = 1.0 + EPSILON / 2
+        assert tau_distance(TauOmega(beyond, 0.0), TauOmega(0.0, 0.0)) == 0.500000000125
+        assert omega_distance(TauOmega(0.0, beyond), TauOmega(0.0, 0.0)) == 0.500000000125
+        with pytest.raises(ValidationError, match="outside"):
+            interval_distance(Interval(-1.0, 1.0), beyond, 0.0)
 
 
 class TestPartialDistances:
