@@ -92,17 +92,9 @@ def negation(x: BipolarValue) -> BipolarValue:
     return BipolarValue(1.0 - x.mu, 1.0 - x.nu)
 
 
-def _add_id(index: dict[str, int], eid) -> None:
-    """Give eid the next position; raise if it is not a nonempty string, or repeats."""
-    if not isinstance(eid, str) or not eid:
-        raise ValidationError(f"element id must be a nonempty string, got {eid!r}")
-    if eid in index:
-        raise ValidationError(f"duplicate element id {eid!r}")
-    index[eid] = len(index)
-
-
 def _index_ids(ids: tuple) -> dict[str, int]:
-    """Each id's position; the first id that is not a nonempty string, or repeats, raises."""
+    """Each id's position, for the body that checks every set; the first id that
+    is not a nonempty string, or repeats, raises."""
     try:
         "".join(ids)  # raises TypeError unless every id is a str
     except TypeError:
@@ -111,10 +103,14 @@ def _index_ids(ids: tuple) -> dict[str, int]:
         index = dict(zip(ids, range(len(ids))))
         if len(index) == len(ids) and "" not in index:
             return index
-    index = {}
+    seen = set()
     for eid in ids:
-        _add_id(index, eid)
-    return index
+        if not isinstance(eid, str) or not eid:
+            raise ValidationError(f"element id must be a nonempty string, got {eid!r}")
+        if eid in seen:
+            raise ValidationError(f"duplicate element id {eid!r}")
+        seen.add(eid)
+    raise AssertionError("the ids were flagged but pass the id checks")
 
 
 def _checked_value(mu: float, nu: float) -> BipolarValue:
@@ -137,38 +133,41 @@ class BipolarFuzzySet:
     Element identifiers are opaque nonempty strings; their insertion order
     fixes iteration and report layout.  Instances are immutable.
 
-    The set stores its ids, an id -> position dict and the degrees as two
-    read-only float64 arrays; ``value``, ``items`` and iteration build
-    BipolarValues only when asked.
+    Sets from pairs, from columns and from set_op are all checked and stored
+    by one body, ``_store``: the ids, an id -> position dict, and the degrees
+    as two read-only float64 arrays.  ``value``, ``items`` and iteration
+    build BipolarValues only when asked.
     """
 
     __slots__ = ("_ids", "_index", "_mu", "_nu")
 
     def __init__(self, pairs: Iterable[tuple[str, BipolarValue]]):
-        index: dict[str, int] = {}
-        mu: list[float] = []
-        nu: list[float] = []
-        for eid, val in pairs:
-            _add_id(index, eid)
-            if not isinstance(val, BipolarValue):
-                raise ValidationError(f"element {eid!r} must carry a BipolarValue, got {val!r}")
-            mu.append(val.mu)
-            nu.append(val.nu)
-        self._store(tuple(index), index, *degree_arrays(mu, nu))
+        ids, values = [], []
+        try:
+            for eid, v in pairs:
+                ids.append(eid)
+                if not isinstance(v, BipolarValue):
+                    raise ValidationError(f"element {eid!r} must carry a BipolarValue, got {v!r}")
+                values.append(v)
+        except Exception:
+            _index_ids(tuple(ids))  # an id error at or before the failing pair comes first
+            raise
+        self._store(tuple(ids), [v.mu for v in values], [v.nu for v in values])
 
     @classmethod
-    def _from_arrays(
-        cls, ids: Sequence[str], mu, nu, index: dict[str, int] | None = None
-    ) -> BipolarFuzzySet:
-        """The set with element ids[k] carrying (mu[k], nu[k]).
+    def _from_arrays(cls, ids: Sequence[str], mu, nu, index=None) -> BipolarFuzzySet:
+        """The set with element ids[k] carrying (mu[k], nu[k]), checked as every set is."""
+        self = object.__new__(cls)
+        self._store(tuple(ids), mu, nu, index)
+        return self
 
-        Ids and degrees are checked once per array.  A failure raises what
-        ``BipolarFuzzySet(zip(ids, map(BipolarValue, mu, nu)))`` raises:
-        the error of the first offending element, its id checked before
-        its degrees.  A caller that has checked the ids already may give
-        their id -> position dict as index, which the set then keeps.
+    def _store(self, ids: tuple[str, ...], mu, nu, index: dict[str, int] | None = None) -> None:
+        """Check ids and degrees once per array, and keep them.
+
+        A failure raises the error of the first offending element, its id
+        checked before its degrees, as the pairs constructor does.  A caller
+        that has checked the ids may give their id -> position dict as index.
         """
-        ids = tuple(ids)
         mu = np.asarray(mu, dtype=np.float64)
         nu = np.asarray(nu, dtype=np.float64)
         if mu.shape != (len(ids),):
@@ -179,21 +178,9 @@ class BipolarFuzzySet:
             BipolarValue(float(mu[k]), float(nu[k]))
 
         mu, nu = degree_arrays(mu, nu, first_error)
-        self = object.__new__(cls)
-        self._store(ids, _index_ids(ids) if index is None else index, mu, nu)
-        return self
-
-    def _with_degrees(self, mu: np.ndarray, nu: np.ndarray) -> BipolarFuzzySet:
-        """A set over this universe carrying new degrees, checked once per array."""
-        out = object.__new__(BipolarFuzzySet)
-        out._store(self._ids, self._index, *degree_arrays(mu, nu))
-        return out
-
-    def _store(self, ids: tuple[str, ...], index: dict[str, int], mu, nu) -> None:
         self._ids = ids
-        self._index = index
-        self._mu = _read_only(mu)
-        self._nu = _read_only(nu)
+        self._index = _index_ids(ids) if index is None else index
+        self._mu, self._nu = _read_only(mu), _read_only(nu)
 
     @property
     def universe(self) -> tuple[str, ...]:
@@ -311,12 +298,11 @@ def set_op(
     if kind in _UNARY:
         if b is not None:
             raise ValidationError(f"{kind.value} takes a single set")
-        return a._with_degrees(*_UNARY[kind](mu, nu))
+        return BipolarFuzzySet._from_arrays(a.universe, *_UNARY[kind](mu, nu), a._index)
     if b is None:
         raise ValidationError(f"{kind.value} requires two sets")
     b_mu, b_nu = aligned_arrays(a, b)
     # A pair outside the registry applies its scalar forms entry by entry.
     tnorm, tconorm = _ARRAY_FORMS.get(norms) or map(_elementwise, (norms.tnorm, norms.tconorm))
-    if kind is SetOpKind.UNION:
-        return a._with_degrees(tconorm(mu, b_mu), tnorm(nu, b_nu))
-    return a._with_degrees(tnorm(mu, b_mu), tconorm(nu, b_nu))
+    mu_op, nu_op = (tconorm, tnorm) if kind is SetOpKind.UNION else (tnorm, tconorm)
+    return BipolarFuzzySet._from_arrays(a.universe, mu_op(mu, b_mu), nu_op(nu, b_nu), a._index)

@@ -12,7 +12,9 @@ import contextlib
 import functools
 import inspect
 import os
+import stat
 import sys
+import tempfile
 from pathlib import Path
 from typing import Iterable
 
@@ -230,13 +232,59 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expect-paper", action="store_true",
                    help="exit 1 when the audit disagrees with the published pass/fail pattern")
     p.add_argument("--seed", type=int, default=_SAMPLE_DEFAULTS["seed"],
-                   help="seed of the random sample, a non-negative integer (default 0)")
+                   help="seed of the random sample, a non-negative integer (default %(default)s)")
     p.add_argument("--n-random", type=int, default=_SAMPLE_DEFAULTS["n_random"],
-                   help="random sample points, 0 to 10000000 (default 100000)")
+                   help="random sample points, 0 to 10000000 (default %(default)s)")
     p.add_argument("--grid-step", type=float, default=_SAMPLE_DEFAULTS["grid_step"],
-                   help="grid spacing, 1/n for a whole n from 1 to 1000 (default 0.01)")
+                   help="grid spacing, 1/n for a whole n from 1 to 1000 (default %(default)s)")
 
     return parser
+
+
+@contextlib.contextmanager
+def _output(out: Path | None):
+    """The stream a report is written to: standard output, or the file at out.
+
+    A path that does not exist, or a regular file the writer owns and may
+    write (symlinks followed), is replaced whole: the report goes to a
+    temporary file beside it, which takes the old file's mode (a new one
+    0o666 less the umask), is renamed onto it after the last block, and is
+    removed on any failure.  Any other target (a device, a FIFO, a directory,
+    a file the writer may not write or does not own), or one beside which no
+    file can be made, is opened and written in place.
+    """
+    if out is None:
+        yield sys.stdout.buffer
+        return
+    target = os.path.realpath(out)
+    try:
+        st = os.stat(target)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode, replace = 0o666 & ~umask, True
+    else:
+        # A replaced file would change owner, and its mode would not stop the write.
+        mode = stat.S_IMODE(st.st_mode)
+        replace = (stat.S_ISREG(st.st_mode) and os.access(target, os.W_OK)
+                   and st.st_uid == getattr(os, "geteuid", lambda: st.st_uid)())
+    temp = None
+    if replace:
+        directory, name = os.path.split(target)
+        with contextlib.suppress(OSError):
+            fd, temp = tempfile.mkstemp(dir=directory, prefix="." + name)
+    if temp is None:
+        with open(out, "wb") as fh:
+            yield fh
+        return
+    try:
+        with open(fd, "wb") as fh:
+            os.chmod(temp, mode)
+            yield fh
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -251,8 +299,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        with (contextlib.nullcontext(sys.stdout.buffer) if args.out is None
-              else open(args.out, "wb")) as fh:
+        with _output(args.out) as fh:
             fh.write(first)
             fh.writelines(blocks)
             fh.flush()

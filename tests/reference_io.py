@@ -12,6 +12,12 @@ output out with the csv and json modules; write_dataset, write_report and
 write_audit format whole columns at once and must write the same bytes.
 A CSV row is quoted as csv.writer quotes it with CRLF line ends, which
 quotes a field holding a bare carriage return, and ends in a newline.
+
+The set constructor's pairs loop checks one element at a time: its id (a
+nonempty string, not seen before), then its value (a BipolarValue), and
+the first failure raises.  BipolarFuzzySet(pairs) gathers the pairs and
+checks them once per array; it must build the same set or raise the same
+exception type and message.
 """
 
 import csv
@@ -20,6 +26,23 @@ import json
 
 from pentafuzz import BipolarFuzzySet, BipolarValue, DatasetError, ValidationError
 from pentafuzz.dataio import _metadata_pairs, format_real
+
+
+def reference_pairs_set(pairs):
+    """The universe and degree lists (mu, nu) of BipolarFuzzySet(pairs), pair by pair."""
+    index = {}
+    mu, nu = [], []
+    for eid, val in pairs:
+        if not isinstance(eid, str) or not eid:
+            raise ValidationError(f"element id must be a nonempty string, got {eid!r}")
+        if eid in index:
+            raise ValidationError(f"duplicate element id {eid!r}")
+        index[eid] = len(index)
+        if not isinstance(val, BipolarValue):
+            raise ValidationError(f"element {eid!r} must carry a BipolarValue, got {val!r}")
+        mu.append(val.mu)
+        nu.append(val.nu)
+    return tuple(index), mu, nu
 
 
 def _make_value(eid, raw_mu, raw_nu, where):

@@ -1,8 +1,9 @@
 from collections import Counter
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 
 from pentafuzz import (
     EPSILON,
@@ -31,6 +32,7 @@ from pentafuzz import (
 )
 from pentafuzz.algebra import aligned_arrays
 from helpers import bipolar_values, fuzzy_values, unit_floats, value_set_pairs
+from reference_io import reference_pairs_set
 
 ALL_NORMS = list(NORM_PAIRS.values())
 
@@ -150,6 +152,11 @@ class TestBipolarFuzzySet:
             BipolarFuzzySet([("a", TRUE), ("a", FALSE)])
         with pytest.raises(ValidationError):
             BipolarFuzzySet([("", TRUE)])
+
+    def test_a_set_never_equals_another_type(self):
+        s = BipolarFuzzySet([("a", TRUE)])
+        assert s.__eq__(1) is NotImplemented
+        assert (s == 1, s != 1) == (False, True)
 
     def test_unknown_element_lookup(self):
         s = BipolarFuzzySet([("a", TRUE)])
@@ -340,6 +347,28 @@ class TestSetStorage:
             BipolarFuzzySet([("a", TRUE), ("a", (1.0, 0.0))])
         with pytest.raises(ValidationError, match="must carry a BipolarValue"):
             BipolarFuzzySet([("a", TRUE), ("b", (1.0, 0.0)), ("a", TRUE)])
+
+    # Pairs that mix good ids with "", non-str ids and repeats, and BipolarValues with
+    # other values; a few do not unpack into two items.  Both sides read them once.
+    _ids = st.sampled_from(["a", "b", "c", "d"]) | st.sampled_from(["", 7, b"a", None])
+    _values = bipolar_values | st.sampled_from([(1.0, 0.0), None, 0.5])
+    _pairs = st.lists(st.tuples(_ids, _values) | st.tuples(_ids), max_size=8)
+
+    @settings(max_examples=400)
+    @given(_pairs)
+    @example([("a", TRUE), ("a", (1.0, 0.0))])
+    @example([("a", TRUE), ("", None)])
+    @example([("a", TRUE), ("a",)])
+    def test_pairs_constructor_equals_the_pair_by_pair_reference(self, pairs):
+        try:
+            expected = reference_pairs_set(iter(pairs))
+        except Exception as exc:
+            with pytest.raises(Exception) as err:
+                BipolarFuzzySet(iter(pairs))
+            assert (type(err.value), str(err.value)) == (type(exc), str(exc))
+        else:
+            s = BipolarFuzzySet(iter(pairs))
+            assert (s.universe, *(a.tolist() for a in s.arrays())) == expected
 
     def test_lengths_must_agree(self):
         with pytest.raises(ValidationError):

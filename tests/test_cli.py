@@ -2,8 +2,10 @@ import hashlib
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -601,6 +603,101 @@ class TestDiagnosticsAndDeterminism:
             assert capsysbinary.readouterr().out.startswith(f"# dataset={dataset}\n".encode())
             assert main([*argv, "--format", "json"]) == 0
             assert json.loads(capsysbinary.readouterr().out)["metadata"]["dataset"] == dataset
+
+
+class TestWholeOrAbsentOut:
+    """A report at --out is written whole or not at all: a regular file, or a new path,
+    is replaced by a renamed temporary file; other targets are written in place."""
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="RLIMIT_FSIZE is POSIX")
+    def test_a_write_over_the_file_size_limit_keeps_the_old_report(self, tmp_path):
+        rows = "".join(f"e{k},0.5,0.25\n" for k in range(200))
+        path = write(tmp_path, "big.csv", "id,mu,nu\n" + rows)
+        out = tmp_path / "r.csv"
+        out.write_bytes(b"old report\n")
+        # Python ignores SIGXFSZ, so a write past the limit raises EFBIG.
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))\n"
+            "from pentafuzz.cli import main\n"
+            "raise SystemExit(main(sys.argv[1:]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(pentafuzz.__file__).parent.parent)}
+        argv = [sys.executable, "-c", code, "sim", str(path), "--out", str(out)]
+        proc = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr == f"error: cannot write {out}: File too large\n".encode()
+        assert out.read_bytes() == b"old report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv", "r.csv"]
+
+    def test_a_symlinked_out_replaces_its_target_and_keeps_its_mode(
+        self, p1_pair, tmp_path, capsysbinary
+    ):
+        assert main(["penta", str(p1_pair)]) == 0
+        report = capsysbinary.readouterr().out
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"old report\n")
+        target.chmod(0o640)
+        link.symlink_to(target)
+        assert main(["penta", str(p1_pair), "--out", str(link)]) == 0
+        assert link.is_symlink() and target.read_bytes() == report
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "p1.csv", "target.csv"]
+
+    def test_a_new_out_gets_the_mode_the_umask_allows(self, p1_pair, tmp_path):
+        out = tmp_path / "r.csv"
+        umask = os.umask(0o027)
+        try:
+            assert main(["penta", str(p1_pair), "--out", str(out)]) == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+    @pytest.mark.skipif(
+        not hasattr(os, "geteuid") or os.geteuid() == 0, reason="needs a user whose mode bits bind"
+    )
+    def test_a_read_only_out_is_refused_and_kept(self, p1_pair, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        out.write_bytes(b"old report\n")
+        out.chmod(0o444)
+        assert main(["penta", str(p1_pair), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {out}: Permission denied\n"
+        assert out.read_bytes() == b"old report\n"
+        assert stat.S_IMODE(out.stat().st_mode) == 0o444
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p1.csv", "r.csv"]
+
+    @pytest.mark.skipif(
+        not hasattr(os, "geteuid") or os.geteuid() != 0, reason="chown needs root"
+    )
+    def test_another_users_out_is_written_in_place_and_keeps_its_owner(
+        self, p1_pair, tmp_path, capsysbinary
+    ):
+        assert main(["penta", str(p1_pair)]) == 0
+        report = capsysbinary.readouterr().out
+        out = tmp_path / "r.csv"
+        out.write_bytes(b"old report\n")
+        os.chown(out, 65534, 65534)
+        inode = out.stat().st_ino
+        assert main(["penta", str(p1_pair), "--out", str(out)]) == 0
+        assert out.read_bytes() == report
+        assert (out.stat().st_ino, out.stat().st_uid, out.stat().st_gid) == (inode, 65534, 65534)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this system")
+    def test_a_fifo_is_written_in_place(self, p1_pair, tmp_path, capsysbinary):
+        assert main(["penta", str(p1_pair)]) == 0
+        report = capsysbinary.readouterr().out
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            assert main(["penta", str(p1_pair), "--out", str(fifo)]) == 0
+        finally:
+            reader.join(timeout=10)
+        assert received == [report]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "p1.csv"]
 
 
 class TestModuleEntryPoint:

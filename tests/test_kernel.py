@@ -157,6 +157,12 @@ class TestFromPenta:
         assert back.mu == pytest.approx(x.mu, abs=EPSILON)
         assert back.nu == pytest.approx(x.nu, abs=EPSILON)
 
+    def test_rejects_a_component_outside_the_unit_interval(self):
+        with pytest.raises(ValidationError) as err:
+            PentaValue(1.5, 0.0, 0.0, 0.0, -0.5)
+        assert type(err.value) is ValidationError
+        assert str(err.value) == "t must lie in [0, 1], got 1.5"
+
     def test_rejects_partition_violation(self):
         with pytest.raises(ValidationError):
             PentaValue(0.5, 0.0, 0.0, 0.0, 0.4)

@@ -196,6 +196,23 @@ class TestDomainErrors:
         assert type(err.value) is error
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                lambda: entropy_point(EntropyKind.GRZEGORZEWSKI_MROWKA, AMBIGUOUS, "max"),
+                "unknown vector norm 'max'",
+            ),
+            (lambda: axiom_audit("pe"), "unknown audit kind 'pe'"),
+        ],
+        ids=["gm-norm-as-text", "audit-kind-as-text"],
+    )
+    def test_a_name_that_is_not_its_enum_is_rejected(self, call, message):
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert type(err.value) is ValidationError
+        assert str(err.value) == message
+
 
 class TestCardinalitySet:
     def test_examples(self):
@@ -778,6 +795,7 @@ class TestClosedFormBits:
         st.lists(st.tuples(*[SIGNED_UNIT_FLOATS] * 4), max_size=8),
     )
     @example(LANDMARK_DEGREES, [(-0.0, -0.0, -0.0, -0.0), (0.0, -0.0, 1.0, -0.0)])
+    @example([(1.0, 0.0)], [(0.0, 0.0, 1.0, 5e-324)])  # a quotient that overflows to inf
     def test_closed_forms_match_their_first_form_bit_for_bit(self, pairs, tuples):
         mu, nu = (np.array(x, dtype=np.float64) for x in zip(*pairs))
         tfuc = penta_arrays(mu, nu)
@@ -786,7 +804,7 @@ class TestClosedFormBits:
         drawn = np.array(tuples, dtype=np.float64).reshape(-1, 4).T
         tfuc = [np.concatenate([x, y]) for x, y in zip(tfuc, drawn)]
         rows = list(zip(*(x.tolist() for x in tfuc)))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for kind, norm in AUDITED:
                 ours, first = _closed_forms(kind, norm)
                 assert _bits(ours(*tfuc)) == _bits(first(*tfuc)), kind

@@ -339,6 +339,27 @@ class TestBipolarDistance:
         assert d_pp < d_pe
 
 
+class TestUnknownNames:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: bipolar_distance("pe", TRUE, FALSE), "unknown distance kind 'pe'"),
+            (
+                lambda: set_distance(
+                    DistanceKind.PSEUDO_EUCLID, *[BipolarFuzzySet([("a", TRUE)])] * 2, "mean"
+                ),
+                "unknown aggregation 'mean'",
+            ),
+        ],
+        ids=["distance-kind-as-text", "aggregation-as-text"],
+    )
+    def test_a_name_that_is_not_its_enum_is_rejected(self, call, message):
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert type(err.value) is ValidationError
+        assert str(err.value) == message
+
+
 class TestFuzzyDistance:
     def test_examples(self):
         assert fuzzy_distance(0.0, 0.2) == pytest.approx(0.2, abs=1e-12)
