@@ -392,22 +392,25 @@ def _walk_csv(text: str) -> BipolarFuzzySet:
 # field's last 24 bytes are read as three little-endian uint64 lanes of
 # eight ASCII digits, the bytes before the decimals set to '0', and each
 # lane is reduced to its integer with three multiplications (SWAR, SIMD
-# within a register).  Where m < 2**53, m
-# and 10**k are exact doubles, so one float64 division rounds m / 10**k
-# correctly, as float() does (Clinger's fast path).  Where m is larger and a
-# long double holds 64 significand bits, m and 10**k are exact long doubles
-# and one division rounds m / 10**k to 64 bits; rounding that to float64
-# gives the correctly rounded double unless the 64-bit quotient lies on a
-# midpoint between two doubles, where the second rounding may break a tie
-# the first one made; such quotients, and the few next to a midpoint, are
-# set aside.  Every field the kernel does not take goes through _parse_degree.
+# within a register).  Where m < 2**53, m and 10**k are exact doubles, so one
+# float64 division rounds m / 10**k correctly, as float() does (Clinger's
+# fast path).  Where m is larger, the division rounds twice, through
+# float64(m), and its v is within 3/2 ulp of m / 10**k.  With v = sig * 2**-e,
+# r = (m - v * 10**k) * 2**(e - k) = m * 2**(e - k) - sig * 5**k is an
+# integer below 2**46 in size, exact in uint64 arithmetic modulo 2**64, and
+# m / 10**k - v is r / 5**k ulps of v; 5**k is odd, so there is no tie.
+# float()'s double is v where |r| < 5**k / 2, else the next one towards r
+# (near a power of two, v is within one ulp, so a step onto one is right),
+# unless v is a power of two and r < 0, where the spacing below v halves.
+# Those fields, and all the kernel does not take, go through _parse_degree.
 
 _WINDOW = 24  # bytes: three lanes of eight digits
 _MAX_DECIMALS = 19
 _POW10_U64 = 10 ** np.arange(_MAX_DECIMALS + 1, dtype=np.uint64)
 _POW10_F64 = _POW10_U64.astype(np.float64)  # exact: 10**k is a double for k <= 22
-_POW10_LONG = _POW10_U64.astype(np.longdouble)
-_LONG_EXACT = np.finfo(np.longdouble).nmant >= 63
+# _WIDE[:, k]: 5**k, its half rounded up, and 1075 - k, which less v's biased exponent is e - k.
+_WIDE = np.array([(5**k, 5**k // 2 + 1, 1075 - k) for k in range(_MAX_DECIMALS + 1)], np.uint64)
+_WIDE = _WIDE.T.copy()  # a row per quantity, each gathered into a contiguous array
 # _KEEP[k]: the three lanes' mask of their last k bytes, where k decimals sit.
 _KEEP = np.where(np.arange(_WINDOW) >= _WINDOW - np.arange(_MAX_DECIMALS + 1)[:, None], 0xFF, 0)
 _KEEP = _KEEP.astype(np.uint8).view("<u8")
@@ -444,15 +447,14 @@ def _exact_decimals(buf: np.ndarray, start: np.ndarray, end: np.ndarray):
     m = lead.astype(np.uint64) * _POW10_U64[k] + lanes @ _POW10_U64[16::-8]
     values = m.astype(np.float64) / _POW10_F64[k]
     wide = np.flatnonzero(exact & (m >= 2**53))
-    if not _LONG_EXACT:
-        exact[wide] = False
-    elif len(wide):
-        q = m[wide].astype(np.longdouble) / _POW10_LONG[k[wide]]
-        values[wide] = q
-        # A q on a midpoint between doubles lies between 64-bit numbers that round
-        # apart, and so does a q next to one.
-        up, down = (np.nextafter(q, to).astype(np.float64) for to in (np.inf, -np.inf))
-        exact[wide] = up == down
+    bits = values[wide].view(np.uint64)
+    five, half, shift = np.take(_WIDE, k[wide], axis=1)
+    fraction = bits & np.uint64(2**52 - 1)
+    r = (m[wide] << (shift - (bits >> 52))) - (fraction | np.uint64(2**52)) * five
+    r = r.view(np.int64)
+    exact[wide] = (fraction != 0) | (r >= 0)
+    step = np.where(np.abs(r).view(np.uint64) < half, 0, np.sign(r))
+    values[wide] = (bits + step.view(np.uint64)).view(np.float64)
     return values, exact
 
 

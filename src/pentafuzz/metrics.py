@@ -91,23 +91,24 @@ def interval_distance(iv: Interval, x: float, y: float) -> float:
         raise ValidationError(f"x={x} outside [{iv.a}, {iv.b}]")
     if not (iv.a <= y <= iv.b):
         raise ValidationError(f"y={y} outside [{iv.a}, {iv.b}]")
-    return _midpoint_distance(x, y, (iv.a + iv.b) / 2.0, (iv.b - iv.a) / 2.0)
+    mid = (iv.a + iv.b) / 2.0
+    return _midpoint_distance(x, y, x - mid, y - mid, (iv.b - iv.a) / 2.0)
 
 
-def _midpoint_distance(x, y, mid: float, half: float, maximum=max):
-    """interval_distance on [mid - half, mid + half], unchecked; on floats with
-    the builtin max, on arrays with np.maximum."""
-    return abs(x - y) / (half + maximum(abs(x - mid), abs(y - mid)))
+def _midpoint_distance(x, y, x_off, y_off, half: float, maximum=max):
+    """interval_distance on [mid - half, mid + half], unchecked, given x_off = x - mid
+    and y_off = y - mid (x and y where mid is 0.0); max, or np.maximum on arrays."""
+    return abs(x - y) / (half + maximum(abs(x_off), abs(y_off)))
 
 
 def tau_distance(v1: TauOmega, v2: TauOmega) -> float:
     """Partial distance along the signed truth axis."""
-    return _midpoint_distance(v1.tau, v2.tau, 0.0, 1.0)
+    return _midpoint_distance(v1.tau, v2.tau, v1.tau, v2.tau, 1.0)
 
 
 def omega_distance(v1: TauOmega, v2: TauOmega) -> float:
     """Partial distance along the signed neutrality axis."""
-    return _midpoint_distance(v1.omega, v2.omega, 0.0, 1.0)
+    return _midpoint_distance(v1.omega, v2.omega, v1.omega, v2.omega, 1.0)
 
 
 def _distance(kind: DistanceKind, tau1, omega1, tau2, omega2, maximum=max, sqrt=math.sqrt):
@@ -118,8 +119,8 @@ def _distance(kind: DistanceKind, tau1, omega1, tau2, omega2, maximum=max, sqrt=
     if kind is DistanceKind.PSEUDO_HAMMING:
         num = abs(tau1 - tau2) + abs(omega1 - omega2)
         return num / (1.0 + maximum(abs(tau1), abs(tau2)) + maximum(abs(omega1), abs(omega2)))
-    dt = _midpoint_distance(tau1, tau2, 0.0, 1.0, maximum)
-    dw = _midpoint_distance(omega1, omega2, 0.0, 1.0, maximum)
+    dt = _midpoint_distance(tau1, tau2, tau1, tau2, 1.0, maximum)
+    dw = _midpoint_distance(omega1, omega2, omega1, omega2, 1.0, maximum)
     if kind is DistanceKind.PSEUDO_EUCLID:
         return sqrt(dt * dt + dw * dw)
     if kind is DistanceKind.PSEUDO_PROB:
@@ -146,7 +147,8 @@ def fuzzy_distance(mu1: float, mu2: float) -> float:
 
     Equal bit for bit to interval_distance on [0, 1].
     """
-    return _midpoint_distance(_check_degree("mu1", mu1), _check_degree("mu2", mu2), 0.5, 0.5)
+    mu1, mu2 = _check_degree("mu1", mu1), _check_degree("mu2", mu2)
+    return _midpoint_distance(mu1, mu2, mu1 - 0.5, mu2 - 0.5, 0.5)
 
 
 def set_distance(

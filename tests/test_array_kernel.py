@@ -12,6 +12,8 @@ import io
 import json
 import math
 import random
+import types
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
@@ -51,6 +53,7 @@ from pentafuzz import (
     to_tau_omega,
     union,
 )
+from pentafuzz import kernel
 from pentafuzz.cli import _element_columns, main
 from pentafuzz.dataio import (
     ElementRow,
@@ -211,6 +214,22 @@ class TestDecomposition:
         for column in d:
             assert all(math.copysign(1.0, v) > 0 for v in column.tolist() if v == 0.0)
         t, f, u, c = penta_arrays(np.array([-0.0]), np.array([0.0]))
+        assert bits(t) == bits(f) == bits(c) == ["0x0.0p+0"]
+
+    def test_t_loses_the_zero_sign_a_maximum_may_keep(self):
+        # Which zero np.maximum(-0.0, 0.0) returns is left to the platform (x86
+        # returns +0.0); under a maximum that keeps the first operand's -0.0,
+        # t must still be +0.0.
+        def maximum(x, y, out=None):
+            keep = (x == 0.0) & np.signbit(x)
+            result = np.maximum(x, y, out=out)
+            result[keep] = -0.0
+            return result
+
+        assert bits(maximum(np.array([-0.0]), 0.0)) == ["-0x0.0p+0"]
+        shim = types.SimpleNamespace(**{**vars(np), "maximum": maximum})
+        with mock.patch.object(kernel, "np", shim):
+            t, f, u, c = penta_arrays(np.array([-0.0]), np.array([0.0]))
         assert bits(t) == bits(f) == bits(c) == ["0x0.0p+0"]
 
     @pytest.mark.parametrize(

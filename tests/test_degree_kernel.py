@@ -6,23 +6,26 @@ bits must be float()'s; every other field goes through _parse_degree, so
 the sets, the errors and their messages stay those of a reader that calls
 float() on every cell.  The corpus holds the fields the kernel takes, the
 ones at its edges (19 decimals, decimals near a midpoint between two
-doubles), and the ones it must hand on.  Each test runs with and without
-the long double division, to show that the fallback alone reads the same
-sets.
+doubles, decimals next to a power of two), and the ones it must hand on.
+A field whose digits reach 2**53 is settled by an exact integer remainder,
+the same on every platform; the kernel sets one aside only just below a
+power of two, where the spacing of doubles halves.
 """
 
 import io
+import math
 import random
 import re
+import struct
 from decimal import Decimal
-from unittest import mock
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from pentafuzz import DatasetError, dataio
+from pentafuzz import DatasetError
 from pentafuzz.dataio import _exact_decimals, _parse_degree, _parse_degrees, read_dataset
 from reference_io import reference_read
 
@@ -50,8 +53,8 @@ def _midpoints(rng: random.Random) -> list[str]:
 
 def _near_midpoints(rng: random.Random) -> list[str]:
     """Midpoints between doubles in [0.5, 10) rounded to the kernel's longest form,
-    and their neighbours one unit away: the long double quotient of many lands
-    on the midpoint itself, where it must not round the tie."""
+    and their neighbours one unit away: m / 10**k of many lies within a fraction
+    of an ulp of the midpoint, where a quotient rounded twice may land wrong."""
     cells = []
     for _ in range(300):
         e = rng.randrange(0, 5)
@@ -92,17 +95,65 @@ def _corpus() -> list[str]:
     return cells
 
 
-NEAR_MIDPOINTS = _near_midpoints(random.Random(2))
-CORPUS = _corpus() + _midpoints(random.Random(1)) + NEAR_MIDPOINTS
+def _decimal(x: Fraction, places: int) -> str:
+    """The nonnegative x with its first places decimals, x * 10**places an integer."""
+    digits = str(x.numerator * 10**places // x.denominator).rjust(places + 1, "0")
+    return f"{digits[:-places]}.{digits[-places:]}"
 
 
-@pytest.fixture(params=[True, False], ids=["long-double", "fallback-only"])
-def long_exact(request):
-    """The kernel with its long double division, or with that switched off as on a
-    platform whose long double is the double."""
-    flag = request.param and dataio._LONG_EXACT
-    with mock.patch.object(dataio, "_LONG_EXACT", flag):
-        yield flag
+def _edge_corpus(rng: random.Random) -> dict[str, list[str]]:
+    """Fields the remainder check must settle, from exact fractions, by part:
+
+    - near-midpoint: each field of the kernel's form with 17 to 19 decimals
+      within 2**-10 ulp of a midpoint between two doubles in [2**-11, 10),
+      on either side,
+    - closest-to-midpoint: the fields closest to such a midpoint,
+      1 / (2 * 5**k) ulp away at k decimals, on either side,
+    - exact-midpoint: exact midpoints between doubles in [2**-11, 10),
+      written out in full,
+    - power-of-two: powers of two from 2**-11 to 8 and the fields up to 50
+      last-decimal units either side, at 17 to 19 decimals,
+    - largest: the largest fields of the kernel's form below 1 and below 10.
+    """
+    parts = {name: [] for name in EDGE_PARTS}
+    for _ in range(5000):
+        x = Fraction(min(rng.uniform(1.0, 2.0) * 2.0 ** rng.randrange(-11, 4), 9.5))
+        ulp = Fraction(math.ulp(float(x)))
+        mid = x + ulp / 2
+        parts["exact-midpoint"].append(_decimal(mid, mid.denominator.bit_length() - 1))
+        for places in range(17, 19 if mid >= 1 else 20):
+            low = Fraction(mid.numerator * 10**places // mid.denominator, 10**places)
+            for c in (low, low + Fraction(1, 10**places)):
+                if abs(c - mid) < ulp / 2**10:
+                    parts["near-midpoint"].append(_decimal(c, places))
+    # m * 2**s = odd * 5**k -+ 1 puts m / 10**k that close to the midpoint
+    # odd * 2**(e - 53) of [2**e, 2**(e + 1)), s = 53 - e - k.
+    for e in range(-11, 3):
+        for places in range(15, 20 if e < 0 else 19):
+            s = 53 - e - places
+            for side in (-1, 1):
+                for _ in range(20):
+                    odd = -side * pow(5**places, -1, 2**s) % 2**s
+                    odd += rng.randrange(2 ** (53 - s), 2 ** (54 - s)) * 2**s
+                    m, rest = divmod(odd * 5**places + side, 2**s)
+                    if 2**53 <= odd < 2**54 and rest == 0 and 2**53 <= m < 10**19:
+                        parts["closest-to-midpoint"].append(
+                            _decimal(Fraction(m, 10**places), places)
+                        )
+    for e in range(-11, 4):
+        for places in range(17, 19 if e >= 0 else 20):
+            for units in range(-50, 51):
+                parts["power-of-two"].append(
+                    _decimal(Fraction(2) ** e + Fraction(units, 10**places), places)
+                )
+    parts["largest"] += ["0.9999999999999999999", "9.999999999999999999"]
+    return parts
+
+
+EDGE_PARTS = ("near-midpoint", "closest-to-midpoint", "exact-midpoint", "power-of-two", "largest")
+EDGE_CORPUS = _edge_corpus(random.Random(3))
+CORPUS = _corpus() + _midpoints(random.Random(1)) + _near_midpoints(random.Random(2))
+CORPUS += [cell for part in EDGE_PARTS for cell in EDGE_CORPUS[part]]
 
 
 def laid_out(cells: list[str]) -> tuple[bytes, np.ndarray, np.ndarray]:
@@ -122,27 +173,53 @@ def parsed(cell: str):
         return "ValueError"
 
 
-def test_certified_fields_have_float_bits(long_exact):
+def just_below_a_power_of_two(cell: str) -> bool:
+    """Whether the decimal lies below a power of two p by less than ulp(p)."""
+    x, low = Fraction(cell), Fraction(2) ** (math.frexp(float(cell))[1] - 1)
+    p = low if x <= low else 2 * low
+    return p - p / 2**52 < x < p
+
+
+def test_certified_fields_have_float_bits():
     data, start, end = laid_out(CORPUS)
     values, exact = _exact_decimals(np.frombuffer(data, np.uint8), start, end)
     for cell, value, certified in zip(CORPUS, values.tolist(), exact.tolist()):
         if certified:
             assert KERNEL_FORM.fullmatch(cell), cell
             assert value.hex() == float(cell).hex(), cell
-    # With the long double, the kernel takes every field of its form away from
-    # a midpoint, and a 64-bit one hands some of those near one on; without
-    # it, the kernel takes those whose digits stay below 2**53.
+        elif KERNEL_FORM.fullmatch(cell):
+            # Set aside only where the spacing of doubles halves, and only for
+            # digits beyond 2**53: below that one division is exact.
+            assert just_below_a_power_of_two(cell) and int(cell.replace(".", "")) >= 2**53, cell
+    # The corpus reaches fields the kernel hands on from its own form.
     form = np.array([KERNEL_FORM.fullmatch(c) is not None for c in CORPUS])
-    near = np.isin(CORPUS, NEAR_MIDPOINTS)
-    if long_exact:
-        assert exact[form & ~near].all()
-        if np.finfo(np.longdouble).nmant == 63:
-            assert 0 < (~exact[form & near]).sum() < (form & near).sum()
+    assert (form & ~exact).any()
+
+
+@pytest.mark.parametrize("part", EDGE_PARTS)
+def test_edge_fields_are_set_aside_only_below_a_power_of_two(part):
+    # Fields near a midpoint are settled by the remainder alone; exact midpoints
+    # have too many digits for the kernel's form; around a power of two only the
+    # fields just below it go on to float().
+    cells = EDGE_CORPUS[part]
+    data, start, end = laid_out(cells)
+    values, exact = _exact_decimals(np.frombuffer(data, np.uint8), start, end)
+    aside = [c for c, certified in zip(cells, exact.tolist()) if not certified]
+    for cell, value, certified in zip(cells, values.tolist(), exact.tolist()):
+        if certified:
+            assert value.hex() == float(cell).hex(), cell
+    if part == "exact-midpoint":
+        assert aside == cells
+        assert not any(KERNEL_FORM.fullmatch(c) for c in cells)
+    elif part == "largest":
+        assert aside == ["0.9999999999999999999"]  # it rounds up to 1.0
+    elif part == "power-of-two":
+        assert aside and all(just_below_a_power_of_two(c) for c in aside)
     else:
-        assert 0.3 < exact[form].mean() < 0.9
+        assert cells and aside == []
 
 
-def test_every_field_reads_as_parse_degree(long_exact):
+def test_every_field_reads_as_parse_degree():
     data, start, end = laid_out(CORPUS)
     good = [parsed(c) != "ValueError" for c in CORPUS]
     rows = np.flatnonzero(good)
@@ -165,7 +242,7 @@ def read(raw: bytes):
     return read_dataset(io.BytesIO(raw), "csv")
 
 
-def test_a_dataset_of_the_corpus_reads_as_float_does(long_exact):
+def test_a_dataset_of_the_corpus_reads_as_float_does():
     # Every cell float() takes in [0, 1] as mu, then as nu, after a first row
     # wide enough that every field has its window.
     cells = [c for c in CORPUS if parsed(c) != "ValueError" and 0.0 <= float(c) <= 1.0]
@@ -177,7 +254,7 @@ def test_a_dataset_of_the_corpus_reads_as_float_does(long_exact):
 
 
 @pytest.mark.parametrize("column", [1, 2])
-def test_each_other_cell_fails_as_the_row_reader_does(long_exact, column):
+def test_each_other_cell_fails_as_the_row_reader_does(column):
     # The cells out of [0, 1] or rejected: each in a row of its own, below a valid one.
     for cell in CORPUS:
         ok = parsed(cell) != "ValueError"
@@ -209,7 +286,34 @@ KERNEL_FIELDS = st.one_of(
 @example(["0.9999999999999999999", "9.999999999999999999", "0.0000000000000000001"])
 def test_drawn_fields_read_as_float_does(cells):
     data, start, end = laid_out(cells)
-    for flag in (dataio._LONG_EXACT, False):
-        with mock.patch.object(dataio, "_LONG_EXACT", flag):
-            values = _parse_degrees(data, start, end)
-        assert [v.hex() for v in values.tolist()] == [float(c).hex() for c in cells]
+    values = _parse_degrees(data, start, end)
+    assert [v.hex() for v in values.tolist()] == [float(c).hex() for c in cells]
+
+
+def from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# The shortest repr of a double in [0, 1], whatever its digits, and of one
+# whose repr has 17 digits that reach 2**53.
+UNIT_REPRS = st.one_of(
+    st.floats(0.0, 1.0),
+    st.integers(0x3F50000000000000, 0x3FF0000000000000).map(from_bits),  # [2**-10, 1]
+    st.floats(0.01, 1.0).filter(lambda x: len(repr(x)) >= 19 and int(repr(x)[2:]) >= 2**53),
+).map(repr)
+
+
+@settings(max_examples=300)
+@given(st.lists(UNIT_REPRS, min_size=1, max_size=40))
+@example([repr(math.nextafter(2.0**-e, 0.0)) for e in range(1, 8)])
+@example([repr(math.nextafter(2.0**-e, 1.0)) for e in range(1, 8)])
+def test_unit_reprs_are_certified_off_the_binade_edges(cells):
+    # No field of the kernel's form is a tie, so the kernel takes each repr of its
+    # form, long or short, on any platform, unless it lies just below a power of two.
+    data, start, end = laid_out(cells)
+    values, exact = _exact_decimals(np.frombuffer(data, np.uint8), start, end)
+    for cell, value, certified in zip(cells, values.tolist(), exact.tolist()):
+        if certified:
+            assert value.hex() == float(cell).hex(), cell
+        else:
+            assert not KERNEL_FORM.fullmatch(cell) or just_below_a_power_of_two(cell), cell
